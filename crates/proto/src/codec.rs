@@ -51,11 +51,11 @@ impl From<DecodeError> for io::Error {
 
 // ---- encoding --------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -693,25 +693,33 @@ impl Frame {
     /// cast: any string/sequence long enough to truncate its count
     /// prefix necessarily pushes the frame past the cap.
     pub fn try_encode(&self) -> Result<Vec<u8>, DecodeError> {
-        let mut e = Enc {
-            buf: vec![0u8; 4], // length prefix patched below
-        };
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Frame::try_encode`] into a buffer the caller keeps, replacing
+    /// its contents: a connection encodes every frame it sends into one
+    /// allocation.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), DecodeError> {
+        buf.clear();
+        buf.extend_from_slice(&[0; 4]); // length prefix patched below
+        let mut e = Enc { buf };
         e.u8(PROTO_VERSION);
         e.frame(self);
-        let len = match u32::try_from(e.buf.len() - 4) {
-            Ok(n) if n <= MAX_FRAME_LEN => n,
-            _ => {
-                return Err(DecodeError {
-                    pos: 0,
-                    msg: format!(
-                        "frame body of {} bytes exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}",
-                        e.buf.len() - 4
-                    ),
-                })
+        match u32::try_from(buf.len() - 4) {
+            Ok(len) if len <= MAX_FRAME_LEN => {
+                buf[..4].copy_from_slice(&len.to_le_bytes());
+                Ok(())
             }
-        };
-        e.buf[..4].copy_from_slice(&len.to_le_bytes());
-        Ok(e.buf)
+            _ => Err(DecodeError {
+                pos: 0,
+                msg: format!(
+                    "frame body of {} bytes exceeds MAX_FRAME_LEN {MAX_FRAME_LEN}",
+                    buf.len() - 4
+                ),
+            }),
+        }
     }
 
     /// Decode one frame payload (everything after the length prefix:
@@ -739,39 +747,129 @@ pub fn write_frame<W: Write>(w: &mut W, f: &Frame) -> io::Result<usize> {
     Ok(bytes.len())
 }
 
-/// Read one frame. `Ok(None)` means the peer closed cleanly at a frame
-/// boundary; a mid-frame close is `UnexpectedEof` and a malformed
-/// payload is `InvalidData`. On success, also returns the bytes
-/// consumed (header included).
+/// Read one frame, consuming exactly its bytes and nothing past them
+/// (an unbuffered [`FrameReader`] pass): for callers that hold no
+/// per-stream state. Returns what [`FrameReader::read_frame`] returns.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(Frame, usize)>> {
-    let mut lenbuf = [0u8; 4];
-    // A clean close before any header byte is end-of-stream, not error.
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut lenbuf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame header",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    FrameReader {
+        inner: r,
+        buf: Vec::new(),
+        start: 0,
+        end: 0,
+        lookahead: false,
+    }
+    .read_frame()
+}
+
+/// Buffer a [`FrameReader`] starts with and falls back to after a large
+/// frame: navigation commands and replies are tens of bytes, so one
+/// `read` usually lands several whole frames.
+const READ_CHUNK: usize = 4 << 10;
+
+/// The incremental stream decoder: owns the read side of a byte stream
+/// and hands out one length-prefixed frame at a time, however the
+/// transport split or coalesced them. A small frame costs one `read`
+/// call; frames that arrived together cost one between them.
+///
+/// An `Err` from the underlying `read` (a read timeout included) is
+/// passed through with the bytes received so far kept, so the call can
+/// simply be repeated. After `InvalidData` or `UnexpectedEof` the
+/// stream has no frame boundary left to resume from.
+pub struct FrameReader<R> {
+    inner: R,
+    /// `buf[start..end]` holds received, not yet decoded bytes; the
+    /// rest of `buf` is room to read into.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Read as much as `buf` has room for, not only what the frame in
+    /// progress still lacks.
+    lookahead: bool,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wrap the read side of a stream.
+    pub fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+            lookahead: true,
         }
     }
-    let len = u32::from_le_bytes(lenbuf);
-    if !(1..=MAX_FRAME_LEN).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} outside [1, {MAX_FRAME_LEN}]"),
-        ));
+
+    /// The wrapped stream (for its write side or its socket options).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let frame = Frame::decode_payload(&payload)?;
-    Ok(Some((frame, 4 + payload.len())))
+
+    /// The next frame. `Ok(None)` means the peer closed cleanly at a
+    /// frame boundary; a mid-frame close is `UnexpectedEof` and a
+    /// malformed length or payload is `InvalidData`. On success, also
+    /// returns the bytes the frame took on the wire (header included).
+    pub fn read_frame(&mut self) -> io::Result<Option<(Frame, usize)>> {
+        loop {
+            let have = self.end - self.start;
+            let mut need = 4;
+            if have >= 4 {
+                let header = self.buf[self.start..self.start + 4]
+                    .try_into()
+                    .expect("4 bytes");
+                let len = u32::from_le_bytes(header);
+                if !(1..=MAX_FRAME_LEN).contains(&len) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("frame length {len} outside [1, {MAX_FRAME_LEN}]"),
+                    ));
+                }
+                need += len as usize;
+                if have >= need {
+                    let frame =
+                        Frame::decode_payload(&self.buf[self.start + 4..self.start + need])?;
+                    self.start += need;
+                    if self.start == self.end {
+                        self.start = 0;
+                        self.end = 0;
+                        if self.buf.len() > READ_CHUNK {
+                            // One large frame must not pin its size for
+                            // the life of the connection.
+                            self.buf.truncate(READ_CHUNK);
+                            self.buf.shrink_to_fit();
+                        }
+                    }
+                    return Ok(Some((frame, need)));
+                }
+            }
+            // Make room for the whole frame at `start`, then read.
+            if self.start + need > self.buf.len() {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end = have;
+                self.start = 0;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
+                }
+            }
+            let upto = if self.lookahead {
+                self.buf.len()
+            } else {
+                self.start + need
+            };
+            match self.inner.read(&mut self.buf[self.end..upto]) {
+                // A clean close before any header byte is end-of-stream.
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed inside a frame",
+                    ))
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

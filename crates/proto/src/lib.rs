@@ -35,7 +35,7 @@
 mod codec;
 mod message;
 
-pub use codec::{read_frame, write_frame, DecodeError, MAX_FRAME_LEN};
+pub use codec::{read_frame, write_frame, DecodeError, FrameReader, MAX_FRAME_LEN};
 pub use message::{Command, Frame, Reply, WireNode};
 
 /// Version byte stamped on every frame. Bump on any layout change.

@@ -8,7 +8,8 @@
 //! reproducible from the seed printed on failure.
 
 use mix_common::{ColData, Column, ColumnBlock, FaultKind, MixError, Name, Value};
-use mix_proto::{read_frame, Command, Frame, Reply, WireNode, PROTO_VERSION};
+use mix_proto::{read_frame, Command, Frame, FrameReader, Reply, WireNode, PROTO_VERSION};
+use std::io::{self, Read};
 
 struct Lcg(u64);
 
@@ -227,6 +228,90 @@ fn frame_streams_survive_concatenation() {
         back.push(f);
     }
     assert_eq!(back, frames);
+}
+
+/// A transport that delivers a byte stream in seeded random pieces —
+/// one byte, a few, or thousands at a time — and now and then reports a
+/// read timeout before carrying on where it stopped.
+struct Resplit<'a> {
+    rest: &'a [u8],
+    rng: Lcg,
+}
+
+impl Read for Resplit<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.rng.below(8) == 0 {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let most = match self.rng.below(3) {
+            0 => 1,
+            1 => 1 + self.rng.below(16) as usize,
+            _ => 1 + self.rng.below(8192) as usize,
+        };
+        let n = most.min(buf.len()).min(self.rest.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
+    }
+}
+
+/// The next frame, riding out the transport's timeouts.
+fn next_frame(reader: &mut FrameReader<Resplit<'_>>) -> io::Result<Option<(Frame, usize)>> {
+    loop {
+        match reader.read_frame() {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            other => return other,
+        }
+    }
+}
+
+#[test]
+fn frame_reader_reassembles_any_split_of_the_stream() {
+    // The 400 seeded frames as one stream: however the transport cuts
+    // or coalesces it — mid-header, mid-payload, many frames a read, a
+    // timeout inside a frame — the reader returns the same frames, each
+    // with its own wire size, then a clean end of stream.
+    let frames: Vec<Frame> = (1..=400u64).map(|seed| Lcg(seed).frame()).collect();
+    let mut stream = Vec::new();
+    for f in &frames {
+        stream.extend_from_slice(&f.encode());
+    }
+    for split_seed in 1..=8u64 {
+        let mut reader = FrameReader::new(Resplit {
+            rest: &stream,
+            rng: Lcg(split_seed ^ 0x5EED),
+        });
+        for (i, want) in frames.iter().enumerate() {
+            let (got, n) = next_frame(&mut reader)
+                .unwrap_or_else(|e| panic!("split {split_seed}, frame {i}: {e}"))
+                .unwrap_or_else(|| panic!("split {split_seed}: stream ended at frame {i}"));
+            assert_eq!(&got, want, "split {split_seed}, frame {i}");
+            assert_eq!(
+                n,
+                want.encode().len(),
+                "split {split_seed}, frame {i}: size"
+            );
+        }
+        assert!(next_frame(&mut reader).unwrap().is_none(), "clean end");
+
+        // Cut anywhere but at a frame boundary, the stream ends in an
+        // error after the whole frames before the cut.
+        let cut = stream.len() - 1 - (split_seed as usize * 37) % 64;
+        let mut reader = FrameReader::new(Resplit {
+            rest: &stream[..cut],
+            rng: Lcg(split_seed),
+        });
+        let mut whole = 0;
+        let err = loop {
+            match next_frame(&mut reader) {
+                Ok(Some(_)) => whole += 1,
+                Ok(None) => panic!("split {split_seed}: a cut frame read as a clean close"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(whole < frames.len());
+    }
 }
 
 /// Adversarial decoder fuzz: every truncation of every generated frame

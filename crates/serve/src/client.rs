@@ -2,9 +2,9 @@
 //! socket.
 
 use mix_common::{ColumnBlock, MixError, Name, Value};
-use mix_proto::{read_frame, write_frame, Command, Frame, Reply, WireNode, PROTO_VERSION};
+use mix_proto::{write_frame, Command, Frame, FrameReader, Reply, WireNode, PROTO_VERSION};
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// What can go wrong on the client side of the wire.
@@ -50,23 +50,32 @@ impl From<MixError> for WireError {
 /// A connected wire session. Mirrors the in-process `QdomSession`
 /// surface method for method; every call is one framed round trip.
 pub struct WireClient {
-    stream: TcpStream,
+    /// Owns the socket: replies are read through it, commands written
+    /// to the stream inside it.
+    reader: FrameReader<TcpStream>,
+    /// Every frame sent is encoded here.
+    out: Vec<u8>,
     session: u64,
 }
 
 impl WireClient {
     /// Connect and run the handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<WireClient, WireError> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
+        let mut reader = FrameReader::new(stream);
         write_frame(
-            &mut stream,
+            &mut reader.get_ref(),
             &Frame::Hello {
                 version: PROTO_VERSION,
             },
         )?;
-        match read_frame(&mut stream)? {
-            Some((Frame::Welcome { session, .. }, _)) => Ok(WireClient { stream, session }),
+        match reader.read_frame()? {
+            Some((Frame::Welcome { session, .. }, _)) => Ok(WireClient {
+                reader,
+                out: Vec::new(),
+                session,
+            }),
             Some((Frame::Reject { reason }, _)) => Err(WireError::Rejected(reason)),
             Some((other, _)) => Err(WireError::Protocol(format!(
                 "expected Welcome, got {other:?}"
@@ -80,11 +89,16 @@ impl WireClient {
         self.session
     }
 
+    fn send(&mut self, frame: &Frame) -> io::Result<()> {
+        frame.encode_into(&mut self.out)?;
+        self.reader.get_ref().write_all(&self.out)
+    }
+
     /// Send one command and read its reply — the raw form of every
     /// typed method below.
     pub fn call(&mut self, cmd: Command) -> Result<Reply, WireError> {
-        write_frame(&mut self.stream, &Frame::Cmd(cmd))?;
-        match read_frame(&mut self.stream)? {
+        self.send(&Frame::Cmd(cmd))?;
+        match self.reader.read_frame()? {
             Some((Frame::Rep(rep), _)) => Ok(rep),
             Some((Frame::Bye, _)) => Err(WireError::Protocol(
                 "server closed the session (idle timeout or shutdown)".into(),
@@ -98,10 +112,10 @@ impl WireClient {
 
     /// Clean close: send `Bye`, wait for the server's `Bye`.
     pub fn close(mut self) -> Result<(), WireError> {
-        write_frame(&mut self.stream, &Frame::Bye)?;
+        self.send(&Frame::Bye)?;
         // The server answers Bye then closes; a straight close (e.g.
         // it shut down first) is fine too.
-        match read_frame(&mut self.stream) {
+        match self.reader.read_frame() {
             Ok(Some((Frame::Bye, _))) | Ok(None) => Ok(()),
             Ok(Some((other, _))) => {
                 Err(WireError::Protocol(format!("expected Bye, got {other:?}")))
@@ -113,7 +127,7 @@ impl WireClient {
     /// Wait (blocking) for the server to end the session — used to
     /// observe idle timeouts and graceful shutdown.
     pub fn wait_server_close(&mut self) -> Result<(), WireError> {
-        match read_frame(&mut self.stream) {
+        match self.reader.read_frame() {
             Ok(Some((Frame::Bye, _))) | Ok(None) => Ok(()),
             Ok(Some((other, _))) => {
                 Err(WireError::Protocol(format!("expected Bye, got {other:?}")))

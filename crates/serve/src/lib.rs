@@ -7,22 +7,24 @@
 //! framed protocol:
 //!
 //! * [`Server`] — a TCP listener that multiplexes every accepted
-//!   connection over a **bounded worker pool**: one acceptor, one
-//!   poller that decodes frames into per-session event queues, and a
-//!   fixed number of session workers woken by a condvar (OS threads are
-//!   bounded by [`ServerConfig::workers`], never by session count, and
-//!   the server never busy-waits while idle). The engine is
-//!   `Send + Sync` (`Arc`-based virtual results), so owned sessions
-//!   migrate across workers between commands; the server builds a
-//!   *fresh mediator per session* from a caller-supplied factory, and
-//!   sessions share exactly what the factory wires in — e.g. a
-//!   process-wide [`mix_qdom::SharedPlanCache`] and the pooled prefetch
-//!   executor. The workspace carries no async runtime — the listener is
-//!   plain `std::net` with nonblocking sockets, which keeps the whole
-//!   stack dependency-free.
+//!   connection over a **bounded worker pool**: one acceptor blocked in
+//!   `accept`, one small reader thread per connection blocked in `read`
+//!   that decodes frames into its session's event queue, and a fixed
+//!   number of session workers woken by a condvar. However many
+//!   sessions are connected, at most [`ServerConfig::workers`] execute
+//!   at once, and every thread waits in the kernel — nothing polls.
+//!   The engine is `Send + Sync` (`Arc`-based virtual results), so
+//!   owned sessions migrate across workers between commands; the server
+//!   builds a *fresh mediator per session* from a caller-supplied
+//!   factory, and sessions share exactly what the factory wires in —
+//!   e.g. a process-wide [`mix_qdom::SharedPlanCache`] and the pooled
+//!   prefetch executor. The workspace carries no async runtime — the
+//!   listener is plain blocking `std::net`, which keeps the whole stack
+//!   dependency-free.
 //! * Session lifecycle — a `Hello`/`Welcome` handshake (version
-//!   checked), an idle timeout that closes silent sessions, and a
-//!   clean `Bye` in both directions.
+//!   checked, and due within two seconds of connecting), an idle
+//!   timeout that closes silent sessions, and a clean `Bye` in both
+//!   directions.
 //! * Admission control — a `max_sessions` cap answered with
 //!   `Frame::Reject` at handshake, and a per-session node budget
 //!   answered with `Reply::Err` at query admission, so an overloaded

@@ -1,27 +1,35 @@
-//! The pooled server: acceptor + poller + a bounded worker pool.
+//! The pooled server: an acceptor, one parked reader per connection,
+//! and a bounded worker pool. Every thread waits in the kernel or on a
+//! condvar; nothing polls.
 //!
-//! Three kinds of threads serve every session, and their count is
-//! fixed at startup — OS threads are bounded by the pool size, never by
-//! the session count:
+//! * **One acceptor** blocks in `accept`, gives each connection a
+//!   reader thread, reaps the readers that have finished, and at
+//!   shutdown ends and joins the rest.
+//! * **One reader per connection** blocks in `read`, with the idle
+//!   timeout as the socket's read timeout (`HANDSHAKE_TIMEOUT` until
+//!   the first frame: a connection that never says `Hello` cannot keep
+//!   its thread). It decodes frames through [`FrameReader`] onto the
+//!   session's queue; timeout, end of stream and shutdown become the
+//!   queue's last event. It runs no session code, on a small stack.
+//! * **`workers` session workers** drain ready queues and write replies
+//!   with blocking `write_all`. A claimed flag gives each session
+//!   exactly one worker at a time (commands of one session never
+//!   interleave), while a slow session occupies at most one worker — it
+//!   cannot head-of-line-block the rest.
 //!
-//! * **One acceptor** blocks on the listener and registers accepted
-//!   connections with the poller.
-//! * **One poller** owns every connection's read side: it reads
-//!   nonblocking sockets into per-connection buffers, incrementally
-//!   decodes length-prefixed frames, and pushes them (plus synthetic
-//!   idle-timeout and shutdown events) onto per-session queues,
-//!   signalling the worker pool's condvar — workers sleep on readiness,
-//!   not on read-timeout polls. The poller's own sweep sleep adapts:
-//!   tight under traffic, backing off to a few milliseconds when every
-//!   socket is silent.
-//! * **`workers` session workers** drain ready queues. A claimed flag
-//!   gives each session exactly one worker at a time (commands of one
-//!   session never interleave), while a slow session occupies at most
-//!   one worker — it cannot head-of-line-block the rest.
+//! OS threads: `1 + workers`, plus one parked reader per connection —
+//! at most `max_sessions` plus the connections still inside
+//! `HANDSHAKE_TIMEOUT`. What `workers` bounds is the number of sessions
+//! *executing* at once, and with it CPU demand and the allocator arenas
+//! session memory spreads over. A thread per connection, and not one
+//! thread sweeping nonblocking sockets, because std has no readiness
+//! API: a sweep either spins (burning the core its clients need) or
+//! sleeps (and every command waits out the sleep).
 //!
-//! Back-pressure: a session whose event queue is full stops being read
-//! (TCP back-pressure reaches the client); the queue cap bounds memory
-//! per session.
+//! Back-pressure: a reader whose session queue is full waits for a
+//! worker to make room, so the socket stops being read and TCP
+//! back-pressure reaches the client; the queue cap bounds memory per
+//! session.
 //!
 //! Sessions are owned (`QdomSession<'static>` over an `Arc<Mediator>`),
 //! so they migrate freely across worker threads between commands — the
@@ -29,16 +37,18 @@
 
 use mix_common::MixError;
 use mix_obs::{Counter, Stats};
-use mix_proto::{Frame, Reply, MAX_FRAME_LEN, PROTO_VERSION};
+use mix_proto::{Frame, FrameReader, Reply, PROTO_VERSION};
 use mix_qdom::{Mediator, QdomSession};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
+use std::net::{
+    Ipv4Addr, Ipv6Addr, Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Lock without poisoning semantics: a panic on another thread while it
 /// held the lock must not cascade into killing this one. Every mutex in
@@ -50,17 +60,27 @@ fn lock_np<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// How often the acceptor re-checks the shutdown flag.
-const POLL: Duration = Duration::from_millis(20);
+/// Same, for a condvar wait.
+fn wait_np<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard)
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
-/// Poller sweep sleep bounds: tight while sockets carry traffic,
-/// backing off geometrically when everything is silent.
-const SWEEP_MIN: Duration = Duration::from_micros(50);
-const SWEEP_MAX: Duration = Duration::from_millis(5);
+/// How long a connection may stay silent before its `Hello`; expiry
+/// closes it without a word. Fixed: it guards the server's threads, not
+/// a session, and `idle_timeout` takes over once the first frame is in.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Per-session event-queue cap; a session at the cap stops being read
-/// until a worker drains it.
+/// Pause after a failed `accept` (fd exhaustion and the like), so the
+/// error cannot spin the acceptor.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Per-session event-queue cap; the reader of a session at the cap
+/// waits until a worker drains it.
 const QUEUE_CAP: usize = 128;
+
+/// Reader stack: a reader decodes frames and queues them, nothing else.
+const READER_STACK: usize = 128 << 10;
 
 /// Server policy knobs.
 #[derive(Debug, Clone)]
@@ -76,12 +96,12 @@ pub struct ServerConfig {
     /// unlimited.
     pub node_budget: u64,
     /// A session that sends nothing for this long is closed with a
-    /// `Bye`.
+    /// `Bye`. Zero = no idle timeout.
     pub idle_timeout: Duration,
     /// Session-worker threads in the pool. `0` (the default) sizes the
     /// pool to the hardware (`available_parallelism`). Sessions
-    /// multiplex over this pool; OS threads never grow with session
-    /// count.
+    /// multiplex over this pool: however many are connected, at most
+    /// this many execute at once.
     pub workers: usize,
 }
 
@@ -113,11 +133,11 @@ impl ServerConfig {
 /// (`MediatorOptions::builder().shared_plan_cache(..)`).
 pub type MediatorFactory = dyn Fn() -> Mediator + Send + Sync;
 
-/// One session's event, produced by the poller, consumed by a worker.
+/// One session's event, produced by its reader, consumed by a worker.
 enum Event {
     /// A decoded frame plus its wire size (header included).
     Frame(Frame, usize),
-    /// The idle deadline passed with no traffic.
+    /// The read timeout passed with no traffic.
     Idle,
     /// Peer closed, read error, or undecodable bytes: close silently.
     Closed,
@@ -125,7 +145,7 @@ enum Event {
     Shutdown,
 }
 
-/// The queue half of a connection — the only state the poller touches.
+/// The queue half of a connection — the only state its reader touches.
 struct ConnQueue {
     events: VecDeque<Event>,
     /// In the ready queue or claimed by a worker — guards against a
@@ -140,25 +160,37 @@ struct SessState {
     handshook: bool,
     /// Holds one `live` slot (released exactly once at close).
     slot_held: bool,
+    /// Every reply is encoded here: one allocation per connection.
+    out: Vec<u8>,
 }
 
 struct Conn {
     id: u64,
     stream: TcpStream,
     queue: Mutex<ConnQueue>,
+    /// Signalled when a full `queue` gets room (or the connection
+    /// closes): the reader's back-pressure wait.
+    space: Condvar,
     sess: Mutex<SessState>,
-    /// Worker → poller: this connection is finished; stop reading it
-    /// and drop its poll state.
+    /// Worker → reader: this connection is finished; stop reading it.
     closed: AtomicBool,
 }
 
+/// The worker pool's run queue.
+struct Ready {
+    queue: VecDeque<Arc<Conn>>,
+    /// Workers waiting on `ready_cv`. Scheduling a session skips the
+    /// notify — a system call — when nobody is there to hear it.
+    parked: usize,
+    /// Every reader has been joined, so no event can arrive any more:
+    /// workers exit once `queue` is empty.
+    drained: bool,
+}
+
 struct Shared {
-    ready: Mutex<VecDeque<Arc<Conn>>>,
+    ready: Mutex<Ready>,
     ready_cv: Condvar,
     shutdown: AtomicBool,
-    /// Set by the poller once every live session has its `Shutdown`
-    /// event queued — only then may idle workers exit.
-    drained: AtomicBool,
     stats: Stats,
     live: AtomicUsize,
     config: ServerConfig,
@@ -166,27 +198,47 @@ struct Shared {
 }
 
 impl Shared {
-    /// Queue one event and schedule the session on the worker pool if
-    /// it is not already scheduled/claimed.
-    fn push_event(&self, conn: &Arc<Conn>, ev: Event) {
+    /// Put a claimed session on the run queue.
+    fn schedule(&self, conn: &Arc<Conn>) {
+        let wake = {
+            let mut ready = lock_np(&self.ready);
+            ready.queue.push_back(Arc::clone(conn));
+            ready.parked > 0
+        };
+        if wake {
+            self.ready_cv.notify_one();
+        }
+    }
+
+    /// Queue one event — waiting first while the session's queue is at
+    /// its cap — and schedule the session on the worker pool if it is
+    /// not already scheduled/claimed. `false`: a worker closed the
+    /// connection meanwhile and the event was dropped.
+    fn push_event(&self, conn: &Arc<Conn>, ev: Event) -> bool {
         let schedule = {
             let mut q = lock_np(&conn.queue);
+            while q.events.len() >= QUEUE_CAP && !conn.closed.load(Ordering::SeqCst) {
+                q = wait_np(&conn.space, q);
+            }
+            if conn.closed.load(Ordering::SeqCst) {
+                return false;
+            }
             q.events.push_back(ev);
             !std::mem::replace(&mut q.scheduled, true)
         };
         if schedule {
-            lock_np(&self.ready).push_back(Arc::clone(conn));
-            self.ready_cv.notify_one();
+            self.schedule(conn);
         }
+        true
     }
 }
 
-/// A running MIX server: acceptor + poller + a fixed worker pool.
+/// A running MIX server: acceptor + per-connection readers + a fixed
+/// worker pool.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    poller: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -200,34 +252,27 @@ impl Server {
         factory: Arc<MediatorFactory>,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let worker_count = config.worker_count();
         let shared = Arc::new(Shared {
-            ready: Mutex::new(VecDeque::new()),
+            ready: Mutex::new(Ready {
+                queue: VecDeque::new(),
+                parked: 0,
+                drained: false,
+            }),
             ready_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            drained: AtomicBool::new(false),
             stats: Stats::new(),
             live: AtomicUsize::new(0),
             config,
             factory,
         });
-        let incoming: Arc<Mutex<Vec<Arc<Conn>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
-            let incoming = Arc::clone(&incoming);
             thread::Builder::new()
                 .name("mix-serve-accept".into())
-                .spawn(move || accept_loop(listener, shared, incoming))
+                .spawn(move || accept_loop(listener, shared))
                 .expect("spawn acceptor")
-        };
-        let poller = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("mix-serve-poll".into())
-                .spawn(move || poll_loop(shared, incoming))
-                .expect("spawn poller")
         };
         let workers = (0..worker_count)
             .map(|i| {
@@ -242,7 +287,6 @@ impl Server {
             addr,
             shared,
             accept: Some(accept),
-            poller: Some(poller),
             workers,
         })
     }
@@ -278,13 +322,22 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            // The acceptor is parked in `accept`: a throwaway connection
+            // wakes it to see the flag. It then ends every reader (each
+            // queues its session's `Shutdown`) before it returns.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            while !h.is_finished() && TcpStream::connect(wake).is_err() {
+                thread::sleep(ACCEPT_BACKOFF);
+            }
             let _ = h.join();
         }
-        // The poller queues a Shutdown event per live session, then
-        // sets `drained` and exits once workers have closed them all.
-        if let Some(h) = self.poller.take() {
-            let _ = h.join();
-        }
+        lock_np(&self.shared.ready).drained = true;
         self.shared.ready_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -298,208 +351,154 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, incoming: Arc<Mutex<Vec<Arc<Conn>>>>) {
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    let mut readers: Vec<(Arc<Conn>, JoinHandle<()>)> = Vec::new();
     let mut next_id: u64 = 1;
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let conn = Arc::new(Conn {
-                    id: next_id,
-                    stream,
-                    queue: Mutex::new(ConnQueue {
-                        events: VecDeque::new(),
-                        scheduled: false,
-                    }),
-                    sess: Mutex::new(SessState {
-                        session: None,
-                        handshook: false,
-                        slot_held: false,
-                    }),
-                    closed: AtomicBool::new(false),
-                });
-                next_id += 1;
-                lock_np(&incoming).push(conn);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break; // the wake-up connection, or one too late to serve
+        }
+        let Ok((stream, _peer)) = accepted else {
+            thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        reap(&shared, &mut readers, false);
+        let _ = stream.set_nodelay(true);
+        let conn = Arc::new(Conn {
+            id: next_id,
+            stream,
+            queue: Mutex::new(ConnQueue {
+                events: VecDeque::new(),
+                scheduled: false,
+            }),
+            space: Condvar::new(),
+            sess: Mutex::new(SessState {
+                session: None,
+                handshook: false,
+                slot_held: false,
+                out: Vec::new(),
+            }),
+            closed: AtomicBool::new(false),
+        });
+        next_id += 1;
+        let spawned = {
+            let (shared, conn) = (Arc::clone(&shared), Arc::clone(&conn));
+            thread::Builder::new()
+                .name(format!("mix-serve-read-{}", conn.id))
+                .stack_size(READER_STACK)
+                .spawn(move || read_loop(&shared, &conn))
+        };
+        // Out of threads: the connection is dropped, which closes it.
+        if let Ok(handle) = spawned {
+            readers.push((conn, handle));
         }
     }
+    // Readers blocked in `read` see end-of-stream (after whatever the
+    // client had already sent) and queue `Shutdown`.
+    for (conn, _) in &readers {
+        let _ = conn.stream.shutdown(NetShutdown::Read);
+    }
+    reap(&shared, &mut readers, true);
 }
 
-/// Poller-side per-connection state: the decode buffer and the idle
-/// deadline. Lives outside `Conn` — no lock is ever needed to decode.
-struct Polled {
-    conn: Arc<Conn>,
-    buf: Vec<u8>,
-    deadline: Instant,
-    /// The poller is done with this connection (events queued, reads
-    /// stopped); it is pruned once the worker marks `conn.closed`.
-    retired: bool,
-}
-
-fn poll_loop(shared: Arc<Shared>, incoming: Arc<Mutex<Vec<Arc<Conn>>>>) {
-    let mut conns: Vec<Polled> = Vec::new();
-    let mut sweep = SWEEP_MAX;
-    let mut tmp = vec![0u8; 16 * 1024];
-    loop {
-        let shutting = shared.shutdown.load(Ordering::Relaxed);
-        let now = Instant::now();
-        for conn in lock_np(&incoming).drain(..) {
-            // Connections accepted after shutdown began are dropped
-            // here (their sockets close with the Arc).
-            if !shutting {
-                conns.push(Polled {
-                    conn,
-                    buf: Vec::new(),
-                    deadline: now + shared.config.idle_timeout,
-                    retired: false,
-                });
+/// Join the readers that have finished — all of them when `all`, which
+/// waits for each. A reader that panicked never queued a last event, so
+/// its session is closed here.
+fn reap(shared: &Shared, readers: &mut Vec<(Arc<Conn>, JoinHandle<()>)>, all: bool) {
+    let mut i = 0;
+    while i < readers.len() {
+        if all || readers[i].1.is_finished() {
+            let (conn, handle) = readers.swap_remove(i);
+            if handle.join().is_err() {
+                shared.push_event(&conn, Event::Closed);
             }
-        }
-        let mut activity = false;
-        for p in &mut conns {
-            if p.retired || p.conn.closed.load(Ordering::Relaxed) {
-                continue;
-            }
-            if shutting {
-                shared.push_event(&p.conn, Event::Shutdown);
-                p.retired = true;
-                continue;
-            }
-            // Back-pressure: a session at its queue cap stops being
-            // read until a worker drains it.
-            if lock_np(&p.conn.queue).events.len() >= QUEUE_CAP {
-                continue;
-            }
-            if sweep_read(&shared, p, &mut tmp, now) {
-                activity = true;
-            }
-        }
-        conns.retain(|p| !p.conn.closed.load(Ordering::Relaxed));
-        if shutting {
-            // Every survivor has its Shutdown queued; tell workers the
-            // drain is complete, then wait for them to close the rest.
-            shared.drained.store(true, Ordering::SeqCst);
-            shared.ready_cv.notify_all();
-            if conns.is_empty() {
-                return;
-            }
-        }
-        if activity {
-            // Traffic in flight: yield so workers (and clients, on a
-            // small machine) run, then sweep again without a timer —
-            // a sleeping poller would idle the worker pool.
-            sweep = SWEEP_MIN;
-            thread::yield_now();
         } else {
-            sweep = (sweep * 2).min(SWEEP_MAX);
-            thread::sleep(sweep);
+            i += 1;
         }
     }
 }
 
-/// Read whatever one socket has, decode complete frames into events.
-/// Returns true when any bytes arrived.
-fn sweep_read(shared: &Arc<Shared>, p: &mut Polled, tmp: &mut [u8], now: Instant) -> bool {
-    let mut got = false;
-    loop {
-        match (&p.conn.stream).read(tmp) {
-            Ok(0) => {
-                shared.push_event(&p.conn, Event::Closed);
-                p.retired = true;
-                return got;
+/// One connection's read side: block in `read`, queue each complete
+/// frame, and end with the event that says why reading stopped.
+fn read_loop(shared: &Shared, conn: &Arc<Conn>) {
+    let mut frames = FrameReader::new(&conn.stream);
+    // The timeout of the first read, then of every later one: only a
+    // `Hello` keeps a connection open past its first frame, so from the
+    // second read on it is a session's.
+    let mut timeouts = [HANDSHAKE_TIMEOUT, shared.config.idle_timeout].into_iter();
+    let last = loop {
+        if let Some(t) = timeouts.next() {
+            // `set_read_timeout` rejects zero, which here means "none".
+            let t = (!t.is_zero()).then_some(t);
+            if conn.stream.set_read_timeout(t).is_err() {
+                break Event::Closed;
             }
-            Ok(n) => {
-                got = true;
-                p.buf.extend_from_slice(&tmp[..n]);
-                p.deadline = now + shared.config.idle_timeout;
-                if n < tmp.len() {
-                    break;
+        }
+        match frames.read_frame() {
+            Ok(Some((frame, n))) => {
+                if !shared.push_event(conn, Event::Frame(frame, n)) {
+                    return;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                shared.push_event(&p.conn, Event::Closed);
-                p.retired = true;
-                return got;
+            _ if shared.shutdown.load(Ordering::SeqCst) => break Event::Shutdown,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                break Event::Idle
             }
+            _ => break Event::Closed,
         }
-    }
-    // Decode every complete frame in the buffer.
-    let mut consumed = 0;
-    while p.buf.len() >= consumed + 4 {
-        let len =
-            u32::from_le_bytes(p.buf[consumed..consumed + 4].try_into().expect("4 bytes")) as usize;
-        if len == 0 || len > MAX_FRAME_LEN as usize {
-            shared.push_event(&p.conn, Event::Closed);
-            p.retired = true;
-            break;
-        }
-        if p.buf.len() < consumed + 4 + len {
-            break; // partial frame; wait for more bytes
-        }
-        let payload = &p.buf[consumed + 4..consumed + 4 + len];
-        match Frame::decode_payload(payload) {
-            Ok(f) => shared.push_event(&p.conn, Event::Frame(f, 4 + len)),
-            Err(_) => {
-                shared.push_event(&p.conn, Event::Closed);
-                p.retired = true;
-                break;
-            }
-        }
-        consumed += 4 + len;
-    }
-    if consumed > 0 {
-        p.buf.drain(..consumed);
-    }
-    if !p.retired && now >= p.deadline {
-        shared.push_event(&p.conn, Event::Idle);
-        p.retired = true;
-    }
-    got
+    };
+    shared.push_event(conn, last);
 }
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let conn = {
-            let mut q = lock_np(&shared.ready);
+            let mut ready = lock_np(&shared.ready);
             loop {
-                if let Some(c) = q.pop_front() {
-                    break Some(c);
+                if let Some(c) = ready.queue.pop_front() {
+                    break c;
                 }
-                if shared.drained.load(Ordering::Relaxed) {
-                    break None;
+                if ready.drained {
+                    return;
                 }
-                // The timeout only bounds shutdown latency if a notify
-                // is lost; readiness normally arrives via the condvar.
-                q = shared
-                    .ready_cv
-                    .wait_timeout(q, POLL)
-                    .unwrap_or_else(|p| p.into_inner())
-                    .0;
+                ready.parked += 1;
+                ready = wait_np(&shared.ready_cv, ready);
+                ready.parked -= 1;
             }
         };
-        let Some(conn) = conn else { return };
         serve_batch(&shared, &conn);
     }
 }
 
 /// Drain one session's queued events. The session is claimed
 /// (`scheduled` stayed true when it was popped), so this worker is the
-/// only one touching its `sess` state until the batch ends.
+/// only one touching its `sess` state until the queue is seen empty.
 fn serve_batch(shared: &Arc<Shared>, conn: &Arc<Conn>) {
     let mut sess = lock_np(&conn.sess);
     loop {
-        let ev = lock_np(&conn.queue).events.pop_front();
-        let Some(ev) = ev else { break };
-        if conn.closed.load(Ordering::Relaxed) {
-            continue; // closed mid-batch: discard the remainder
-        }
+        let ev = {
+            let mut q = lock_np(&conn.queue);
+            if conn.closed.load(Ordering::SeqCst) {
+                // Nothing queued after the close is served; a reader
+                // still waiting for room must see the close.
+                q.events.clear();
+                conn.space.notify_one();
+            }
+            let Some(ev) = q.events.pop_front() else {
+                q.scheduled = false; // unclaim: the next event reschedules
+                return;
+            };
+            if q.events.len() + 1 == QUEUE_CAP {
+                conn.space.notify_one(); // was full: the reader may be waiting
+            }
+            ev
+        };
         // A panic in session code (mediator construction, dispatch, a
         // user-supplied tracer) must cost only this session: report it
         // on the wire if the socket still works, close the connection,
@@ -512,6 +511,7 @@ fn serve_batch(shared: &Arc<Shared>, conn: &Arc<Conn>) {
         if panicked {
             send(
                 conn,
+                &mut sess,
                 &shared.stats,
                 &Frame::Rep(Reply::Err(MixError::internal(
                     "session panicked; connection closed",
@@ -519,21 +519,6 @@ fn serve_batch(shared: &Arc<Shared>, conn: &Arc<Conn>) {
             );
             close(conn, &mut sess, shared);
         }
-    }
-    drop(sess);
-    // Unclaim — or reschedule if the poller queued more meanwhile.
-    let reschedule = {
-        let mut q = lock_np(&conn.queue);
-        if q.events.is_empty() || conn.closed.load(Ordering::Relaxed) {
-            q.scheduled = false;
-            false
-        } else {
-            true
-        }
-    };
-    if reschedule {
-        lock_np(&shared.ready).push_back(Arc::clone(conn));
-        shared.ready_cv.notify_one();
     }
 }
 
@@ -554,6 +539,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                     stats.inc(Counter::SessionsRejected);
                     send(
                         conn,
+                        sess,
                         stats,
                         &Frame::Reject {
                             reason: format!(
@@ -567,6 +553,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                     stats.inc(Counter::SessionsRejected);
                     send(
                         conn,
+                        sess,
                         stats,
                         &Frame::Reject {
                             reason: format!(
@@ -581,6 +568,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                 stats.inc(Counter::SessionsOpened);
                 if !send(
                     conn,
+                    sess,
                     stats,
                     &Frame::Welcome {
                         version: PROTO_VERSION,
@@ -612,13 +600,13 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
                 } else {
                     session.dispatch(cmd)
                 };
-            if !send(conn, stats, &Frame::Rep(reply)) {
+            if !send(conn, sess, stats, &Frame::Rep(reply)) {
                 close(conn, sess, shared);
             }
         }
         Event::Frame(Frame::Bye, n) => {
             stats.add(Counter::WireBytesIn, n as u64);
-            send(conn, stats, &Frame::Bye);
+            send(conn, sess, stats, &Frame::Bye);
             close(conn, sess, shared);
         }
         Event::Frame(_, n) => {
@@ -627,6 +615,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
             stats.add(Counter::WireBytesIn, n as u64);
             send(
                 conn,
+                sess,
                 stats,
                 &Frame::Rep(Reply::Err(MixError::invalid(
                     "unexpected frame: only Cmd and Bye are valid after the handshake",
@@ -635,7 +624,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
             close(conn, sess, shared);
         }
         Event::Idle | Event::Shutdown => {
-            send(conn, stats, &Frame::Bye);
+            send(conn, sess, stats, &Frame::Bye);
             close(conn, sess, shared);
         }
         Event::Closed => close(conn, sess, shared),
@@ -644,7 +633,7 @@ fn handle_event(shared: &Arc<Shared>, conn: &Arc<Conn>, sess: &mut SessState, ev
 
 /// Finish a connection: drop the session (joining its prefetch
 /// producers), release the admission slot, and hand the socket back to
-/// the OS. The poller prunes its state on the next sweep.
+/// the OS, which ends its reader's `read`.
 fn close(conn: &Arc<Conn>, sess: &mut SessState, shared: &Arc<Shared>) {
     sess.session = None;
     if std::mem::take(&mut sess.slot_held) {
@@ -669,24 +658,21 @@ fn acquire_slot(live: &AtomicUsize, max: usize) -> bool {
     }
 }
 
-/// Write one frame to the (nonblocking, poller-shared) socket, counting
-/// bytes; `false` means the peer is gone. A full send buffer retries
-/// with a short sleep — the cost lands on the slow session's worker
-/// slot, not on the poller or other sessions.
-fn send(conn: &Arc<Conn>, stats: &Stats, frame: &Frame) -> bool {
-    let bytes = frame.encode();
-    let mut off = 0;
-    while off < bytes.len() {
-        match (&conn.stream).write(&bytes[off..]) {
-            Ok(0) => return false,
-            Ok(n) => off += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(100));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
+/// Replies larger than this give their buffer back after the write.
+const OUT_KEEP: usize = 64 << 10;
+
+/// Write one frame, blocking until the socket has taken it, and count
+/// its bytes; `false` means the peer is gone (or the reply is too large
+/// for a frame). A client that does not read its replies stalls its own
+/// session's worker slot, nobody else.
+fn send(conn: &Conn, sess: &mut SessState, stats: &Stats, frame: &Frame) -> bool {
+    let out = &mut sess.out;
+    let sent = frame.encode_into(out).is_ok() && (&conn.stream).write_all(out).is_ok();
+    if sent {
+        stats.add(Counter::WireBytesOut, out.len() as u64);
     }
-    stats.add(Counter::WireBytesOut, bytes.len() as u64);
-    true
+    if out.capacity() > OUT_KEEP {
+        *out = Vec::new();
+    }
+    sent
 }

@@ -6,14 +6,17 @@
 use mix_common::{MixError, PrefetchPolicy, Value};
 use mix_engine::AccessMode;
 use mix_obs::Counter;
-use mix_proto::{read_frame, write_frame, Command, Frame, Reply, WireNode, PROTO_VERSION};
+use mix_proto::{
+    read_frame, write_frame, Command, Frame, FrameReader, Reply, WireNode, PROTO_VERSION,
+};
 use mix_qdom::{Mediator, MediatorOptions, SharedPlanCache};
 use mix_relational::active_prefetchers;
 use mix_serve::{Server, ServerConfig, WireClient, WireError};
 use mix_wrapper::fig2_catalog;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const Q1: &str = "FOR $C IN source(&root1)/customer $O IN document(&root2)/order \
      WHERE $C/id/data() = $O/cid/data() \
@@ -230,7 +233,6 @@ fn version_mismatch_is_rejected_at_handshake() {
     .encode();
     let last = bytes.len() - 1;
     bytes[last] = PROTO_VERSION + 1;
-    use std::io::Write;
     stream.write_all(&bytes).unwrap();
     match read_frame(&mut stream).unwrap() {
         Some((Frame::Reject { reason }, _)) => {
@@ -710,4 +712,189 @@ fn panicking_session_leaves_others_serving() {
         stats.get(Counter::SessionsClosed),
         "every session (panicking one included) must release its slot"
     );
+}
+
+// ---- the per-connection reader --------------------------------------------
+
+/// A raw connection past the handshake.
+fn handshaken(server: &Server) -> TcpStream {
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: PROTO_VERSION,
+        },
+    )
+    .unwrap();
+    let (welcome, _) = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(welcome, Frame::Welcome { .. }), "{welcome:?}");
+    stream
+}
+
+#[test]
+fn silent_connections_are_dropped_without_costing_a_session() {
+    // A connection that never says Hello holds a reader thread, so the
+    // server gives it the fixed handshake timeout (2 s) — not the 30 s
+    // idle timeout — and no admission slot; real clients are served
+    // throughout.
+    let mut server = start(ServerConfig {
+        max_sessions: 1,
+        ..ServerConfig::default()
+    });
+    let began = Instant::now();
+    let silent: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    let mut client = WireClient::connect(server.addr()).expect("the one slot is free");
+    let p0 = client.query(Q1).unwrap();
+    assert!(client.d(p0).unwrap().is_some());
+    assert_eq!(server.live_sessions(), 1);
+    for mut s in silent {
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(s.read(&mut byte).unwrap(), 0, "closed without a word");
+    }
+    let took = began.elapsed();
+    assert!(took >= Duration::from_secs(2), "closed early: {took:?}");
+    assert!(took < Duration::from_secs(8), "closed late: {took:?}");
+    assert!(client.d(p0).unwrap().is_some());
+    client.close().unwrap();
+    server.shutdown();
+    assert_eq!(server.stats().get(Counter::SessionsOpened), 1);
+    assert_eq!(server.stats().get(Counter::SessionsRejected), 0);
+}
+
+#[test]
+fn zero_idle_timeout_means_none() {
+    let mut server = start(ServerConfig {
+        idle_timeout: Duration::ZERO,
+        ..ServerConfig::default()
+    });
+    let mut client = WireClient::connect(server.addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(!client.stats().unwrap().is_empty());
+    client.close().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn coalesced_commands_are_all_answered_in_order() {
+    // 300 commands in one write, none of the replies read meanwhile:
+    // the reader decodes many frames per read and stops reading at the
+    // session's queue cap (128) until the worker catches up. Command i
+    // names result 1000+i, which the error reply repeats.
+    let mut server = start(ServerConfig::default());
+    let mut stream = handshaken(&server);
+    let mut burst = Vec::new();
+    for i in 0..300 {
+        let p = WireNode {
+            result: 1000 + i,
+            node: 0,
+        };
+        burst.extend_from_slice(&Frame::Cmd(Command::Fl { p }).encode());
+    }
+    stream.write_all(&burst).unwrap();
+    let mut replies = FrameReader::new(&stream);
+    for i in 0..300 {
+        match replies.read_frame().unwrap() {
+            Some((Frame::Rep(Reply::Err(MixError::Plan(msg))), _)) => {
+                assert!(msg.contains(&format!("result {} ", 1000 + i)), "{i}: {msg}")
+            }
+            other => panic!("reply {i}: {other:?}"),
+        }
+    }
+    server.shutdown();
+    assert_eq!(server.stats().get(Counter::WireCommands), 300);
+}
+
+#[test]
+fn a_frame_arriving_byte_by_byte_is_answered_once() {
+    let mut server = start(ServerConfig::default());
+    let mut stream = handshaken(&server);
+    for byte in Frame::Cmd(Command::Stats).encode() {
+        stream.write_all(&[byte]).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    match read_frame(&mut stream).unwrap() {
+        Some((Frame::Rep(Reply::Stats(_)), _)) => {}
+        other => panic!("expected the Stats reply, got {other:?}"),
+    }
+    // And nothing else: the next thing on the wire is the clean close.
+    write_frame(&mut stream, &Frame::Bye).unwrap();
+    let (bye, _) = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(bye, Frame::Bye), "{bye:?}");
+    server.shutdown();
+    assert_eq!(server.stats().get(Counter::WireCommands), 1);
+}
+
+#[test]
+fn half_a_frame_then_silence_is_an_idle_session() {
+    let mut server = start(ServerConfig {
+        idle_timeout: Duration::from_millis(150),
+        ..ServerConfig::default()
+    });
+    let mut stream = handshaken(&server);
+    let sent = Instant::now();
+    let bytes = Frame::Cmd(Command::Query { text: Q1.into() }).encode();
+    stream.write_all(&bytes[..bytes.len() / 2]).unwrap();
+    let (bye, _) = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(bye, Frame::Bye), "{bye:?}");
+    assert!(sent.elapsed() >= Duration::from_millis(150));
+    assert!(read_frame(&mut stream).unwrap().is_none(), "then closed");
+    server.shutdown();
+    assert_eq!(server.stats().get(Counter::WireCommands), 0);
+    assert_eq!(server.stats().get(Counter::SessionsClosed), 1);
+}
+
+/// A tracer whose first span reports that a command is executing and
+/// then takes its time.
+struct SlowTracer(std::sync::Mutex<Option<std::sync::mpsc::Sender<()>>>);
+
+impl mix_obs::Tracer for SlowTracer {
+    fn span_start(
+        &self,
+        _name: &str,
+        _parent: Option<mix_obs::SpanId>,
+        _attrs: &[(&'static str, String)],
+    ) -> mix_obs::SpanId {
+        if let Some(executing) = self.0.lock().unwrap().take() {
+            executing.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        mix_obs::SpanId(0)
+    }
+    fn span_end(&self, _id: mix_obs::SpanId, _attrs: &[(&'static str, String)]) {}
+    fn event(
+        &self,
+        _parent: Option<mix_obs::SpanId>,
+        _name: &str,
+        _attrs: &[(&'static str, String)],
+    ) {
+    }
+}
+
+#[test]
+fn shutdown_lets_the_executing_command_reply_before_bye() {
+    let (executing, is_executing) = std::sync::mpsc::channel();
+    let tracer = Arc::new(SlowTracer(std::sync::Mutex::new(Some(executing))));
+    let factory: Arc<dyn Fn() -> Mediator + Send + Sync> = Arc::new(move || {
+        let (cat, _db) = fig2_catalog();
+        let tracer = mix_obs::TracerHandle::new(tracer.clone());
+        Mediator::with_options(cat, MediatorOptions::builder().tracer(tracer).build())
+    });
+    let mut server = Server::start("127.0.0.1:0", ServerConfig::default(), factory).unwrap();
+    let mut client = WireClient::connect(server.addr()).unwrap();
+    let session = std::thread::spawn(move || {
+        let reply = client.query(Q1);
+        (reply, client.wait_server_close())
+    });
+    // Shutdown begins while the worker is inside the query...
+    is_executing.recv().unwrap();
+    server.shutdown();
+    // ...and the client still gets that query's answer, then the Bye.
+    let (reply, bye) = session.join().unwrap();
+    assert_eq!(reply.unwrap(), WireNode { result: 0, node: 0 });
+    bye.unwrap();
+    assert_eq!(server.stats().get(Counter::WireCommands), 1);
 }

@@ -7,43 +7,22 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --all-targets -D warnings"
+echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy -p mix-bench -D warnings"
-cargo clippy -p mix-bench --all-targets -- -D warnings
-
-echo "==> cargo clippy -p mix-proto -p mix-serve -D warnings"
-cargo clippy -p mix-proto -p mix-serve --all-targets -- -D warnings
-
-echo "==> cargo clippy -p mix-common -p mix-qdom -p mix-relational -D warnings (shared-state modules)"
-cargo clippy -p mix-common -p mix-qdom -p mix-relational --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
-cargo test -q
-
-echo "==> chaos suite (fault injection, fixed seed 0xC0FFEE)"
-cargo test -q --test chaos
-
-# No loom/miri in-tree (offline builds): prefetcher concurrency is
-# covered by deterministic schedule replay (equivalence sweeps under
-# chaos faults) plus gauge-based thread-leak/drop tests instead.
-echo "==> prefetch suite (sync equivalence, laziness, thread leaks)"
-cargo test -q --test prefetch
-
-echo "==> wire protocol + serve suite (codec round trips, wire-vs-in-process equivalence, admission, shutdown)"
-cargo test -q -p mix-proto -p mix-serve
-
-echo "==> shared-state concurrency suite (shared plan cache, pool, worker-pool server)"
-cargo test -q -p mix-serve --test serve -- shared_ pooled_ sessions_multiplex
-cargo test -q -p mix-common --lib -- pool:: shard:: ring::
-cargo test -q -p mix-qdom --lib -- plan_cache shared_plan
+# Every crate's unit and integration suites: the root package's (chaos
+# at fixed seed 0xC0FFEE, prefetch, laziness, fuzz regressions, ...),
+# the wire protocol and serve suites, and the per-crate unit tests.
+echo "==> cargo test --workspace"
+cargo test -q --workspace
 
 # Deterministic single-threaded re-run: the shared-state suites must
 # pass when the test harness provides no accidental parallelism.
+# (No loom/miri in-tree: concurrency is covered by deterministic
+# schedule replay under chaos faults plus gauge-based leak tests.)
 echo "==> shared-state suite again, RUST_TEST_THREADS=1"
 RUST_TEST_THREADS=1 cargo test -q -p mix-serve --test serve -- shared_ pooled_ sessions_multiplex
 
@@ -72,9 +51,6 @@ cargo bench -p mix-bench --bench prefetch_overlap -- --smoke >/dev/null
 echo "==> columnar_sweep bench smoke run"
 cargo bench -p mix-bench --bench columnar_sweep -- --smoke >/dev/null
 
-echo "==> serve_bench smoke run (pooled server, shared plan cache, concurrent wire sessions)"
-cargo bench -p mix-bench --bench serve_bench -- --smoke >/dev/null
-
 echo "==> federation_sweep bench smoke run (shard routing, scatter-gather, merge overhead)"
 cargo bench -p mix-bench --bench federation_sweep -- --smoke >/dev/null
 
@@ -86,7 +62,8 @@ cargo run --quiet --release -p mix-workload --bin workload_fuzz
 echo "==> workload soak smoke (~10s served-mode chaos soak, invariants only)"
 cargo run --quiet --release -p mix-workload --bin workload_soak -- --smoke >/dev/null
 
-echo "==> fuzzer-surfaced regression repros"
-cargo test -q --test fuzz_regressions
+echo "==> mixbench: its own tests, then every workload in both modes (--smoke)"
+cargo test -q --offline --manifest-path mixbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path mixbench/Cargo.toml -- --smoke >/dev/null
 
 echo "All checks passed."
