@@ -49,9 +49,10 @@ fn bench_relational(h: &mut Harness) {
             let mut cur = db
                 .execute_sql("SELECT * FROM orders WHERE value > 1000")
                 .unwrap();
+            let mut block = ColumnBlock::new(cur.arity());
             let mut n = 0;
             while n < k {
-                if cur.next().unwrap().is_none() {
+                if cur.next_cblock(&mut block, 1).unwrap() == 0 {
                     break;
                 }
                 n += 1;

@@ -511,8 +511,8 @@ impl ColumnBlock {
         out
     }
 
-    /// Row-compat view: iterate rows as boxed tuples. This is the
-    /// migration seam for operators that are not vectorized yet.
+    /// Row view: iterate rows as boxed tuples, for consumers that build
+    /// per-row structures (the lazy wrapper's tuple nodes, row drains).
     pub fn iter_rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
         (0..self.len).map(|r| self.row(r))
     }

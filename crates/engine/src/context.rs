@@ -67,11 +67,8 @@ pub struct EvalContext {
     /// model; `Depth(n)`/`Auto` overlap backend latency with mediator
     /// work once a cursor's first block has been demanded).
     pub prefetch: PrefetchPolicy,
-    /// Ship source blocks as typed column vectors (`false` keeps the
-    /// boxed row representation — an ablation knob; both produce
-    /// identical tuples and identical `TuplesShipped`/`BlocksShipped`).
-    /// Only block pulls are affected: under [`BlockPolicy::Off`] the
-    /// per-row protocol runs regardless.
+    /// No effect — kept for mixbench source compatibility. `rQ` always
+    /// pulls and decodes typed column blocks; nothing reads this field.
     pub columnar: bool,
     /// Session high-water mark for `BlockPolicy::Auto` restarts: once a
     /// drain in this session has ramped up, later cursors skip the

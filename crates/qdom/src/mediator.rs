@@ -63,12 +63,8 @@ pub struct MediatorOptions {
     /// shipped-tuple accounting and the fault/retry schedule are
     /// unchanged (the prefetcher replays the consumer's block ramp).
     pub prefetch: PrefetchPolicy,
-    /// Ship source blocks as typed column vectors (the default).
-    /// `false` keeps the boxed per-row representation — the ablation
-    /// baseline for the columnar hot path. Representation only: tuples,
-    /// laziness and every shipped-data counter are identical either
-    /// way. Irrelevant under [`BlockPolicy::Off`], where cursors ship
-    /// one row per pull regardless.
+    /// No effect — kept for mixbench source compatibility. Sources
+    /// always ship typed column blocks; nothing reads this field.
     pub columnar: bool,
     /// How many decontextualized plan templates a session's *private*
     /// cache keeps. With a shared cache installed this knob is unused —
@@ -159,13 +155,6 @@ impl MediatorOptionsBuilder {
     /// Pick the pipelined-prefetch policy for backend cursors.
     pub fn prefetch(mut self, prefetch: PrefetchPolicy) -> Self {
         self.opts.prefetch = prefetch;
-        self
-    }
-
-    /// Ship source blocks as typed column vectors (`false` = boxed-row
-    /// ablation baseline).
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.opts.columnar = columnar;
         self
     }
 

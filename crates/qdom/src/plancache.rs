@@ -67,7 +67,6 @@ pub(crate) struct CacheKey {
     hash_joins: bool,
     block: BlockPolicy,
     prefetch: PrefetchPolicy,
-    columnar: bool,
     backend: u64,
 }
 
@@ -78,7 +77,6 @@ impl CacheKey {
     /// to `backend` (see [`mix_wrapper::Catalog`] in the session).
     /// `None` when the node's id is not a skolem term
     /// (decontextualization will fail anyway).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         query: &str,
         result: usize,
@@ -86,7 +84,6 @@ impl CacheKey {
         hash_joins: bool,
         block: BlockPolicy,
         prefetch: PrefetchPolicy,
-        columnar: bool,
         backend: u64,
     ) -> Option<(CacheKey, Vec<Oid>)> {
         let (func, var, args) = ctx.oid.as_skolem()?;
@@ -113,9 +110,6 @@ impl CacheKey {
             block: block.normalized(),
             // Depth(0) clamps to Depth(1) at the cursor; same plans.
             prefetch: prefetch.normalized(),
-            // The block representation is a session knob too: a replayed
-            // plan must decode the way its EXPLAIN (`repr=`) promised.
-            columnar,
             backend,
         };
         Some((key, slots))
@@ -567,7 +561,6 @@ mod tests {
                 hash_joins: true,
                 block: BlockPolicy::Auto,
                 prefetch: PrefetchPolicy::Off,
-                columnar: true,
                 backend: 0,
             };
             cache.insert(
@@ -590,7 +583,6 @@ mod tests {
             hash_joins: true,
             block: BlockPolicy::Auto,
             prefetch: PrefetchPolicy::Off,
-            columnar: true,
             backend: 0,
         };
         assert!(cache.lookup(&key0, &[key_slot("K")], "rootv0").is_none());
@@ -608,7 +600,7 @@ mod tests {
         };
         let pf = PrefetchPolicy::Off;
         let (key, slots) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, true, 0).expect("skolem oid");
+            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, 0).expect("skolem oid");
         cache.insert(
             key,
             slots.clone(),
@@ -620,11 +612,9 @@ mod tests {
             &empty_plan(),
         );
         // Same query/node, different knobs: structural misses.
-        let (nl_key, _) =
-            CacheKey::new("q", 0, &ctx, false, BlockPolicy::Auto, pf, true, 0).unwrap();
+        let (nl_key, _) = CacheKey::new("q", 0, &ctx, false, BlockPolicy::Auto, pf, 0).unwrap();
         assert!(cache.lookup(&nl_key, &slots, "rootv1").is_none());
-        let (off_key, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Off, pf, true, 0).unwrap();
+        let (off_key, _) = CacheKey::new("q", 0, &ctx, true, BlockPolicy::Off, pf, 0).unwrap();
         assert!(cache.lookup(&off_key, &slots, "rootv1").is_none());
         let (pf_key, _) = CacheKey::new(
             "q",
@@ -633,22 +623,16 @@ mod tests {
             true,
             BlockPolicy::Auto,
             PrefetchPolicy::Auto,
-            true,
             0,
         )
         .unwrap();
         assert!(cache.lookup(&pf_key, &slots, "rootv1").is_none());
-        let (row_key, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, false, 0).unwrap();
-        assert!(cache.lookup(&row_key, &slots, "rootv1").is_none());
         // The original knobs still hit, and Fixed(0) normalizes to
         // Fixed(1) rather than minting a third key for the same plans.
-        let (same, _) = CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, true, 0).unwrap();
+        let (same, _) = CacheKey::new("q", 0, &ctx, true, BlockPolicy::Auto, pf, 0).unwrap();
         assert!(cache.lookup(&same, &slots, "rootv1").is_some());
-        let (f0, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Fixed(0), pf, true, 0).unwrap();
-        let (f1, _) =
-            CacheKey::new("q", 0, &ctx, true, BlockPolicy::Fixed(1), pf, true, 0).unwrap();
+        let (f0, _) = CacheKey::new("q", 0, &ctx, true, BlockPolicy::Fixed(0), pf, 0).unwrap();
+        let (f1, _) = CacheKey::new("q", 0, &ctx, true, BlockPolicy::Fixed(1), pf, 0).unwrap();
         assert_eq!(f0, f1);
         // Depth(0) normalizes to Depth(1) likewise.
         let (d0, _) = CacheKey::new(
@@ -658,7 +642,6 @@ mod tests {
             true,
             BlockPolicy::Auto,
             PrefetchPolicy::Depth(0),
-            true,
             0,
         )
         .unwrap();
@@ -669,7 +652,6 @@ mod tests {
             true,
             BlockPolicy::Auto,
             PrefetchPolicy::Depth(1),
-            true,
             0,
         )
         .unwrap();

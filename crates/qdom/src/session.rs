@@ -153,7 +153,6 @@ impl<'m> QdomSession<'m> {
         ctx.block = opts.block;
         ctx.retry = opts.retry;
         ctx.prefetch = opts.prefetch;
-        ctx.columnar = opts.columnar;
         // Sources share the session's tracer, so SQL issuance and row
         // shipping show up as events under the operator that caused
         // them.
@@ -339,7 +338,6 @@ impl<'m> QdomSession<'m> {
             self.ctx.hash_joins,
             self.ctx.block,
             self.ctx.prefetch,
-            self.ctx.columnar,
             self.backend_fp,
         );
         if let Some((key, new_slots)) = &cache_key {

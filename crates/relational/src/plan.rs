@@ -28,17 +28,6 @@ pub enum ROperand {
     Const(Value),
 }
 
-impl RPred {
-    /// Evaluate against a row (incomparable ⇒ false).
-    pub fn eval(&self, row: &[Value]) -> bool {
-        let r = match &self.rhs {
-            ROperand::Col(i) => &row[*i],
-            ROperand::Const(v) => v,
-        };
-        row[self.lhs].satisfies(self.op, r)
-    }
-}
-
 /// Physical plan nodes.
 #[derive(Debug, Clone)]
 pub enum PhysPlan {

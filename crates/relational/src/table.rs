@@ -13,7 +13,7 @@ pub type Row = Vec<Value>;
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
-    /// Columnar mirror of `rows`, built on first [`Table::columnar`]
+    /// Columnar mirror of `rows`, built on first [`Table::block`]
     /// call and discarded by any mutation. `OnceLock` so concurrent
     /// scans through `Arc<Table>` share one build.
     cols: OnceLock<ColumnBlock>,
@@ -80,7 +80,7 @@ impl Table {
     /// values are shared with the row storage (`Arc` string handles are
     /// cloned, not re-interned), so the mirror costs one refcount bump
     /// per string cell plus the typed vectors themselves.
-    pub fn columnar(&self) -> &ColumnBlock {
+    pub fn block(&self) -> &ColumnBlock {
         self.cols.get_or_init(|| {
             let mut b = ColumnBlock::new(self.schema.arity());
             b.reserve(self.rows.len());
@@ -145,18 +145,18 @@ mod tests {
         let mut t = orders();
         t.insert(vec![Value::Int(2), Value::str("b"), Value::Int(20)])
             .unwrap();
-        let c = t.columnar();
+        let c = t.block();
         assert_eq!(c.len(), 1);
         assert_eq!(c.value_at(0, 2), Value::Int(20));
         // Mutation discards the mirror; the next call rebuilds it.
         t.insert(vec![Value::Int(1), Value::str("a"), Value::Int(10)])
             .unwrap();
-        assert_eq!(t.columnar().len(), 2);
+        assert_eq!(t.block().len(), 2);
         t.sort_by_key();
-        assert_eq!(t.columnar().value_at(0, 0), Value::Int(1));
+        assert_eq!(t.block().value_at(0, 0), Value::Int(1));
         // Clones rebuild their own mirror.
         let u = t.clone();
-        assert_eq!(u.columnar().len(), 2);
+        assert_eq!(u.block().len(), 2);
     }
 
     #[test]

@@ -17,13 +17,11 @@ pub fn chaos_policy(seed: u64) -> FaultPolicy {
 }
 
 /// One cell of the knob matrix, always compared against the default
-/// (lazy, optimizing, columnar, auto-block) baseline.
+/// (lazy, optimizing, auto-block) baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// Eager materialization (handles re-spaced, content identical).
     Eager,
-    /// Boxed-row shipping (columnar off).
-    RowStore,
     /// One-tuple-per-pull (the paper's pull model).
     BlockOff,
     /// Fixed 3-tuple blocks (off the ramp path).
@@ -34,10 +32,6 @@ pub enum Variant {
     GByStateful,
     /// Lazy hash groupby forced even where Auto would pick presorted.
     GByHash,
-    /// Eager materialization over boxed rows — the knob pair most
-    /// likely to disagree, since each side exercises a different
-    /// shipping and evaluation path at once.
-    EagerRows,
     /// One-tuple blocks under nested-loop joins: every operator
     /// boundary crossed one tuple at a time.
     TinyBlocksNlj,
@@ -66,13 +60,11 @@ pub enum Variant {
 /// Every variant, in fuzz order.
 pub const ALL_VARIANTS: &[Variant] = &[
     Variant::Eager,
-    Variant::RowStore,
     Variant::BlockOff,
     Variant::BlockFixed,
     Variant::NoHashJoins,
     Variant::GByStateful,
     Variant::GByHash,
-    Variant::EagerRows,
     Variant::TinyBlocksNlj,
     Variant::NoOptimize,
     Variant::Prefetch,
@@ -89,13 +81,11 @@ impl Variant {
     pub fn name(self) -> &'static str {
         match self {
             Variant::Eager => "eager",
-            Variant::RowStore => "rowstore",
             Variant::BlockOff => "block-off",
             Variant::BlockFixed => "block-fixed",
             Variant::NoHashJoins => "no-hash-joins",
             Variant::GByStateful => "gby-stateful",
             Variant::GByHash => "gby-hash",
-            Variant::EagerRows => "eager-rows",
             Variant::TinyBlocksNlj => "tiny-blocks-nlj",
             Variant::NoOptimize => "no-optimize",
             Variant::Prefetch => "prefetch",
@@ -144,13 +134,11 @@ impl Variant {
         let b = MediatorOptions::builder();
         match self {
             Variant::Eager => b.access(AccessMode::Eager),
-            Variant::RowStore => b.columnar(false),
             Variant::BlockOff => b.block(BlockPolicy::Off),
             Variant::BlockFixed => b.block(BlockPolicy::Fixed(3)),
             Variant::NoHashJoins => b.hash_joins(false),
             Variant::GByStateful => b.gby(GByMode::Stateful),
             Variant::GByHash => b.gby(GByMode::Hash),
-            Variant::EagerRows => b.access(AccessMode::Eager).columnar(false),
             Variant::TinyBlocksNlj => b.block(BlockPolicy::Fixed(1)).hash_joins(false),
             Variant::NoOptimize => b.optimize(false),
             Variant::Prefetch => b.prefetch(PrefetchPolicy::Depth(2)),

@@ -18,9 +18,9 @@
 
 use crate::relsource::RelationSource;
 use mix_common::{
-    BlockPolicy, BlockRamp, MixError, Name, PrefetchPolicy, Result, RetryPolicy, Value,
+    BlockPolicy, BlockRamp, ColumnBlock, MixError, Name, PrefetchPolicy, Result, RetryPolicy, Value,
 };
-use mix_relational::{Cursor, Row};
+use mix_relational::Cursor;
 use mix_xml::{Document, NavDoc, NodeRef, Oid};
 use std::sync::Mutex;
 
@@ -51,8 +51,6 @@ struct State {
     /// ships exactly one tuple regardless of policy, so navigate-and-
     /// stop sessions are indistinguishable from `BlockPolicy::Off`.
     ramp: BlockRamp,
-    /// Scratch buffer reused across block fetches.
-    buf: Vec<Row>,
 }
 
 impl LazyRelationalDoc {
@@ -109,7 +107,6 @@ impl LazyRelationalDoc {
                 tuples: Vec::new(),
                 columns: Vec::new(),
                 ramp: block.ramp(),
-                buf: Vec::new(),
             }),
         }
     }
@@ -156,11 +153,11 @@ impl LazyRelationalDoc {
             let Some(cur) = st.cursor.as_mut() else { break };
             // Fetch a whole block per ramp step; the schema lookup is
             // hoisted out of the per-row loop. Transient faults are
-            // retried inside `next_block_retrying`, re-requesting the
+            // retried inside `next_cblock_retrying`, re-requesting the
             // same block size so the ramp is undisturbed.
             let want = st.ramp.next_size();
-            st.buf.clear();
-            let got = match cur.next_block_retrying(&mut st.buf, want, &self.retry) {
+            let mut block = ColumnBlock::new(cur.arity());
+            let got = match cur.next_cblock_retrying(&mut block, want, &self.retry) {
                 Ok(got) => got,
                 Err(e) => {
                     st.cursor = None;
@@ -180,7 +177,7 @@ impl LazyRelationalDoc {
                 .map(|t| t.schema().clone());
             let root = st.doc.root_ref();
             let elem = self.source.element();
-            for row in st.buf.drain(..) {
+            for row in block.iter_rows() {
                 let key = match &schema {
                     Some(s) => s.key_text(&row),
                     None => String::new(),

@@ -48,9 +48,6 @@ cargo bench -p mix-bench --bench block_sweep -- --smoke >/dev/null
 echo "==> prefetch_overlap bench smoke run"
 cargo bench -p mix-bench --bench prefetch_overlap -- --smoke >/dev/null
 
-echo "==> columnar_sweep bench smoke run"
-cargo bench -p mix-bench --bench columnar_sweep -- --smoke >/dev/null
-
 echo "==> federation_sweep bench smoke run (shard routing, scatter-gather, merge overhead)"
 cargo bench -p mix-bench --bench federation_sweep -- --smoke >/dev/null
 

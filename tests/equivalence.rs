@@ -170,12 +170,12 @@ fn gby_kernels_agree() {
     }
 }
 
-/// The columnar block representation is invisible: across block
-/// policies and prefetch settings, the typed-column-vector path and the
-/// boxed-row ablation produce the *identical rendering* (oids and
-/// sibling order included) and identical shipped-data accounting.
+/// Block and prefetch policies are invisible: every (block, prefetch)
+/// pair renders the default configuration's result exactly (oids and
+/// sibling order included) and ships the same tuples; prefetch also
+/// leaves each block policy's `BlocksShipped` unchanged.
 #[test]
-fn columnar_and_row_representations_agree() {
+fn block_and_prefetch_policies_agree() {
     let mut rng = Lcg(31337);
     for case in 0..10u64 {
         let n_customers = 1 + rng.below(12) as usize;
@@ -184,30 +184,29 @@ fn columnar_and_row_representations_agree() {
         let threshold = rng.below(100_000) as i64;
         let template_idx = (case % TEMPLATES.len() as u64) as usize;
         let query = instantiate(TEMPLATES[template_idx], threshold);
+        let run = |block, prefetch| {
+            let (catalog, db) = mix_repro::datagen::customers_orders(n_customers, orders_per, seed);
+            let stats = db.stats().clone();
+            let options = MediatorOptions::builder()
+                .block(block)
+                .prefetch(prefetch)
+                .build();
+            let rendered = run_with(options, &catalog, &query);
+            (
+                rendered,
+                stats.get(Counter::TuplesShipped),
+                stats.get(Counter::BlocksShipped),
+            )
+        };
+        let (baseline, tuples, _) = run(BlockPolicy::Auto, PrefetchPolicy::Off);
         for block in [BlockPolicy::Off, BlockPolicy::Fixed(8), BlockPolicy::Auto] {
-            for prefetch in [PrefetchPolicy::Off, PrefetchPolicy::Auto] {
-                let mut runs = Vec::new();
-                for columnar in [true, false] {
-                    let (catalog, db) =
-                        mix_repro::datagen::customers_orders(n_customers, orders_per, seed);
-                    let stats = db.stats().clone();
-                    let options = MediatorOptions::builder()
-                        .block(block)
-                        .prefetch(prefetch)
-                        .columnar(columnar)
-                        .build();
-                    let rendered = run_with(options, &catalog, &query);
-                    runs.push((
-                        rendered,
-                        stats.get(Counter::TuplesShipped),
-                        stats.get(Counter::BlocksShipped),
-                    ));
-                }
-                assert_eq!(
-                    runs[0], runs[1],
-                    "case {case}: block={block:?} prefetch={prefetch:?} query={query}"
-                );
-            }
+            let (sync_out, sync_tuples, sync_blocks) = run(block, PrefetchPolicy::Off);
+            let (pf_out, pf_tuples, pf_blocks) = run(block, PrefetchPolicy::Auto);
+            let at = format!("case {case}: block={block:?} query={query}");
+            assert_eq!(sync_out, baseline, "{at}");
+            assert_eq!(pf_out, baseline, "{at} prefetch=Auto");
+            assert_eq!((sync_tuples, pf_tuples), (tuples, tuples), "{at}");
+            assert_eq!(sync_blocks, pf_blocks, "{at}");
         }
     }
 }

@@ -190,7 +190,7 @@ fn routed_point_query_targets_one_shard() {
 cmd:query
   - sql server=db1 stmt=SELECT c1.id, c1.addr, c1.name FROM customer c1 WHERE c1.id = 'XYZ123' ORDER BY c1.id
 cmd:d
-  rQ node=1 depth=1 server=db1 sql=SELECT c1.id, c1.addr, c1.name FROM customer c1 WHERE c1.id = 'XYZ123' ORDER BY c1.id block=auto shards=1/2 repr=col pulls=1 tuples=1
+  rQ node=1 depth=1 server=db1 sql=SELECT c1.id, c1.addr, c1.name FROM customer c1 WHERE c1.id = 'XYZ123' ORDER BY c1.id block=auto shards=1/2 pulls=1 tuples=1
     - row n=1
 ";
     assert_eq!(text, expected);
@@ -221,7 +221,7 @@ cmd:query
 cmd:d
   crElt node=1 depth=1 pulls=1 tuples=1
     gBy node=2 depth=2 mode=presorted pulls=1 tuples=1
-      rQ node=3 depth=3 server=db1 sql=SELECT c1.id, c1.addr, c1.name, o1.orid, o1.cid, o1.value FROM customer c1, orders o1 WHERE c1.id = o1.cid ORDER BY c1.id, o1.orid block=auto shards=2/2 repr=col pulls=1 tuples=1
+      rQ node=3 depth=3 server=db1 sql=SELECT c1.id, c1.addr, c1.name, o1.orid, o1.cid, o1.value FROM customer c1, orders o1 WHERE c1.id = o1.cid ORDER BY c1.id, o1.orid block=auto shards=2/2 pulls=1 tuples=1
         - row n=1
 ";
     assert_eq!(text, expected);
