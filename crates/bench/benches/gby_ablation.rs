@@ -1,5 +1,5 @@
-//! E7: the stateless presorted groupBy (Table 1) vs. the buffering
-//! stateful implementation vs. the hash implementation.
+//! E7: the stateless presorted groupBy (Table 1) vs. the hash
+//! implementation, and the per-node `Auto` choice between them.
 
 use mix::prelude::*;
 use mix_bench::harness::Harness;
@@ -10,7 +10,6 @@ fn main() {
     for n in [500usize, 2000] {
         for (label, mode) in [
             ("stateless", GByMode::StatelessPresorted),
-            ("stateful", GByMode::Stateful),
             ("hash", GByMode::Hash),
             ("auto", GByMode::Auto),
         ] {

@@ -268,7 +268,7 @@ pub fn e6_in_place_scaling() -> String {
     out
 }
 
-/// E7 — ablation: stateless presorted gBy vs. the buffering stateful
+/// E7 — ablation: stateless presorted gBy vs. the stateful (hash)
 /// implementation (Section 4, Table 1).
 pub fn e7_gby_ablation() -> String {
     let mut out = String::new();
@@ -276,11 +276,11 @@ pub fn e7_gby_ablation() -> String {
     let _ = writeln!(
         out,
         "{:>7} | {:>13} | {:>12}",
-        "groups", "stateless_ms", "stateful_ms"
+        "groups", "stateless_ms", "hash_ms"
     );
     for n in [200usize, 1000, 4000] {
         let mut cells = Vec::new();
-        for gby in [GByMode::StatelessPresorted, GByMode::Stateful] {
+        for gby in [GByMode::StatelessPresorted, GByMode::Hash] {
             let (catalog, _db) = mix_repro::datagen::customers_orders(n, 5, 31);
             let m = Mediator::with_options(catalog, MediatorOptions::builder().gby(gby).build());
             let mut s = m.session();

@@ -31,11 +31,9 @@ pub enum GByMode {
     /// Table 1's presorted stateless implementation: constant operator
     /// state, groups discovered by scanning until the key changes.
     StatelessPresorted,
-    /// Buffering implementation: drains and hash-partitions its input.
-    Stateful,
-    /// Hash implementation: correct on unsorted input like
-    /// [`GByMode::Stateful`], but spools lazily — the first group is
-    /// available after one input pull.
+    /// The stateful implementation, by hashing: correct on unsorted
+    /// input, groups in first-seen order, and spooled lazily — the
+    /// first group is available after one input pull.
     Hash,
     /// Pick per `groupBy` node: presorted when the rewriter's
     /// sortedness analysis proves the input key-contiguous
@@ -48,9 +46,10 @@ pub struct EvalContext {
     catalog: Catalog,
     mode: AccessMode,
     pub gby_mode: GByMode,
-    /// Use the hash join/semi-join kernels when an equi-key is
-    /// extractable (`false` forces the nested-loop kernels — an
-    /// ablation/testing knob; both produce identical tuple sequences).
+    /// Bucket join/semi-join inputs on extractable equi-keys (`false`
+    /// runs the same kernels keyless, as nested loops over one bucket —
+    /// an ablation/testing knob; both produce identical tuple
+    /// sequences).
     pub hash_joins: bool,
     /// Where operator spans and source events go (defaults to the
     /// disabled null tracer).

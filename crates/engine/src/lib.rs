@@ -11,8 +11,11 @@
 //! * [`stream`] + [`vdoc`] — *navigation-driven lazy evaluation*: every
 //!   operator is a lazy stream over binding tuples, group-by partitions
 //!   are consumed incrementally (the stateless presorted `gBy` of
-//!   Table 1), relational sources are pulled through cursors one tuple
-//!   at a time, and [`vdoc::VirtualResult`] exposes the plan's result
+//!   Table 1), every operator answers one pull — "up to `n` tuples" —
+//!   by pulling from its inputs only what that demand needs, relational
+//!   sources arrive through cursors in typed column blocks on a ramp
+//!   that starts at one row, and [`vdoc::VirtualResult`] exposes the
+//!   plan's result
 //!   as a virtual document: nothing is computed until `d`/`r`
 //!   navigation commands demand it.
 //!

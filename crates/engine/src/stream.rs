@@ -5,15 +5,20 @@
 //! tuples strictly on demand; "when an operator … receives a navigation
 //! command from an operator that is above it in the plan, it sends
 //! navigation commands to the operators below, and combines the results
-//! it receives". Highlights:
+//! it receives". The one command is [`TStream::pull_block`] — "up to
+//! `n` tuples" — and each operator has exactly one implementation of
+//! it. Highlights:
 //!
-//! * `mksrc` pulls source children one at a time (one relational tuple
-//!   per pull on wrapped relations);
+//! * `mksrc` walks source children one at a time (one relational tuple
+//!   per step on wrapped relations);
+//! * one join and one semi-join kernel: a hash index over the extracted
+//!   equi-keys, where a nested loop is the same kernel with no keys;
 //! * the presorted `gBy` is the *stateless* implementation of Table 1:
-//!   it holds only a one-tuple lookahead, discovers a group's members
-//!   by advancing the shared input until the key changes, and skipping
-//!   a group drains exactly that group (the `repeat r(bs) until key
-//!   changes` loop of Table 1);
+//!   it holds only its input's current block (one tuple under
+//!   [`mix_common::BlockPolicy::Off`]), discovers a group's members by
+//!   advancing the shared input until the key changes, and skipping a
+//!   group drains exactly that group (the `repeat r(bs) until key
+//!   changes` loop of Table 1); the hash `gBy` is the stateful one;
 //! * `apply` materializes nothing: the collected list is a lazy view
 //!   over the group partition;
 //! * `rQ` holds a live SQL cursor and pulls typed column blocks on the
@@ -45,35 +50,21 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 /// A lazy stream of binding tuples.
+///
+/// One protocol between operators: a consumer asks for up to `n`
+/// tuples and each operator pulls from its inputs only what that
+/// demand needs.
 pub trait TStream: Send {
     /// The variable schema of produced tuples.
     fn vars(&self) -> Arc<Vec<Name>>;
-    /// Produce the next tuple, doing only the work it requires.
-    /// `Ok(None)` is exhaustion; `Err` is a source/backend failure at
-    /// exactly the pull that needed the missing data.
-    fn next(&mut self) -> Result<Option<LTuple>>;
 
     /// Append up to `n` tuples to `out`; returns how many were
-    /// produced. Fewer than `n` (in particular `0`) is returned only
-    /// on exhaustion — overrides must uphold this, it is what lets
-    /// drain loops skip the final empty pull. The default loops over
-    /// [`TStream::next`] (one virtual dispatch total — already cheaper
-    /// than `n` boxed calls from outside); hot operators override it to
-    /// pull blocks from their own inputs, so a block demanded at the
-    /// top propagates down the pipeline.
-    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
-        let mut k = 0;
-        while k < n {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    k += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(k)
-    }
+    /// produced, `k ≤ n`. Fewer than `n` (in particular `0`) is
+    /// returned only on exhaustion — every body must uphold this, it is
+    /// what lets drain loops skip the final empty pull. `Err` is a
+    /// source/backend failure at exactly the pull that needed the
+    /// missing data.
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize>;
 
     /// Hint that this stream is about to be drained to exhaustion: an
     /// `rQ` stream starts its armed prefetcher now (laziness is moot
@@ -83,58 +74,87 @@ pub trait TStream: Send {
     fn prime(&mut self) {}
 }
 
+impl dyn TStream + '_ {
+    /// The next tuple: `pull_block(_, 1)`. Allocates per call, so
+    /// operators pull single tuples through a reused slot instead.
+    // Not `Iterator::next`: a failed pull is `Err`, not `Some(Err)`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<LTuple>> {
+        pull_one(self, &mut Vec::with_capacity(1))
+    }
+}
+
+/// Pull exactly one tuple from `s` through the reused `slot`.
+fn pull_one(s: &mut dyn TStream, slot: &mut Vec<LTuple>) -> Result<Option<LTuple>> {
+    slot.clear();
+    s.pull_block(slot, 1)?;
+    Ok(slot.pop())
+}
+
 /// Drain `s` to exhaustion into `out`, block at a time (the shared
-/// barrier loop: join/semi-join build sides, sorts, stateful `gBy`).
-/// Relies on the [`TStream::pull_block`] contract — a short block
-/// means exhaustion — to avoid a final empty pull.
+/// barrier loop: join/semi-join build sides and sorts). Relies on the
+/// [`TStream::pull_block`] contract — a short block means exhaustion —
+/// to avoid a final empty pull.
 pub(crate) fn drain_stream(s: &mut dyn TStream, out: &mut Vec<LTuple>) -> Result<()> {
     while s.pull_block(out, mix_common::MAX_AUTO_BLOCK)? == mix_common::MAX_AUTO_BLOCK {}
     Ok(())
 }
 
 /// A buffered adapter between a per-tuple consumer and a blockwise
-/// producer: refills from `pull_block` on the policy's ramp, handing
-/// out one tuple at a time. Under [`BlockPolicy::Off`] it degenerates
-/// to plain `next()` — the paper-faithful path stays untouched.
-struct BlockBuf {
-    buf: VecDeque<LTuple>,
+/// producer: refills from `pull_block` on a block ramp (pinned at one
+/// tuple under [`mix_common::BlockPolicy::Off`]) and hands out one
+/// tuple at a time.
+pub(crate) struct BlockBuf {
+    /// Buffered tuples in reverse order: `pop` yields the next one and
+    /// `push_back` returns one to the front.
+    rev: Vec<LTuple>,
     ramp: mix_common::BlockRamp,
-    off: bool,
     done: bool,
-    scratch: Vec<LTuple>,
 }
 
 impl BlockBuf {
-    /// `ramp` is the context's (session-floored) ramp for the policy —
-    /// see [`EvalContext::block_ramp`].
-    fn new(policy: mix_common::BlockPolicy, ramp: mix_common::BlockRamp) -> BlockBuf {
+    pub(crate) fn new(ramp: mix_common::BlockRamp) -> BlockBuf {
         BlockBuf {
-            buf: VecDeque::new(),
-            off: policy == mix_common::BlockPolicy::Off,
+            rev: Vec::new(),
             ramp,
             done: false,
-            scratch: Vec::new(),
         }
     }
 
+    /// The next buffered tuple, if any (never pulls).
+    pub(crate) fn pop(&mut self) -> Option<LTuple> {
+        self.rev.pop()
+    }
+
+    /// Return `t` to the front of the buffer.
+    fn push_back(&mut self, t: LTuple) {
+        self.rev.push(t);
+    }
+
+    /// Refill the empty buffer with one ramp-sized pull from `input`;
+    /// returns the number of tuples fetched (`0` on exhaustion). A
+    /// failed pull leaves the buffer empty.
+    pub(crate) fn refill(&mut self, input: &mut dyn TStream) -> Result<usize> {
+        debug_assert!(self.rev.is_empty());
+        match input.pull_block(&mut self.rev, self.ramp.next_size()) {
+            Ok(got) => {
+                self.rev.reverse();
+                Ok(got)
+            }
+            Err(e) => {
+                self.rev.clear();
+                Err(e)
+            }
+        }
+    }
+
+    /// The next tuple, refilling from `input` when the buffer is empty;
+    /// `None` once `input` is exhausted.
     fn pull(&mut self, input: &mut dyn TStream) -> Result<Option<LTuple>> {
-        if let Some(t) = self.buf.pop_front() {
-            return Ok(Some(t));
+        if self.rev.is_empty() && !self.done {
+            self.done = self.refill(input)? == 0;
         }
-        if self.off {
-            return input.next();
-        }
-        if self.done {
-            return Ok(None);
-        }
-        let want = self.ramp.next_size();
-        self.scratch.clear();
-        if input.pull_block(&mut self.scratch, want)? == 0 {
-            self.done = true;
-            return Ok(None);
-        }
-        self.buf.extend(self.scratch.drain(..));
-        Ok(self.buf.pop_front())
+        Ok(self.rev.pop())
     }
 }
 
@@ -199,6 +219,7 @@ pub(crate) fn build_stream_profiled(
                 inner,
                 view_var: view_var.clone(),
                 vars: Arc::new(vec![var.clone()]),
+                slot: Vec::new(),
             })
         }
         Op::GetD {
@@ -217,6 +238,7 @@ pub(crate) fn build_stream_profiled(
                 path: path.clone(),
                 vars: Arc::new(vars),
                 pending: VecDeque::new(),
+                buf: Vec::new(),
             })
         }
         Op::Select { input, cond } => {
@@ -241,37 +263,22 @@ pub(crate) fn build_stream_profiled(
             let right = build_stream_profiled(right, ctx, env, profile, next)?;
             let mut vars = (*left.vars()).clone();
             vars.extend(right.vars().iter().cloned());
-            let split = mix_algebra::split_equi(cond.as_ref(), &left.vars(), &right.vars());
-            if ctx.hash_joins && split.hashable() {
-                extra.push(("kernel", "hash".to_string()));
-                Box::new(HashJoinStream {
-                    ctx: Arc::clone(ctx),
-                    left,
-                    right: Some(right),
-                    index: HashMap::new(),
-                    pairs: split.pairs,
-                    cur_left: None,
-                    cur_key: None,
-                    idx: 0,
-                    cond: cond.clone(),
-                    vars: Arc::new(vars),
-                    lkeys: KeyCache::new(Side::Left),
-                    rkeys: KeyCache::new(Side::Right),
-                })
-            } else {
-                ctx.stats().inc(Counter::NlFallbacks);
-                extra.push(("kernel", "nl".to_string()));
-                Box::new(JoinStream {
-                    ctx: Arc::clone(ctx),
-                    left,
-                    right: Some(right),
-                    right_rows: Vec::new(),
-                    cur_left: None,
-                    idx: 0,
-                    cond: cond.clone(),
-                    vars: Arc::new(vars),
-                })
-            }
+            let pairs = join_keys(ctx, cond.as_ref(), &left.vars(), &right.vars(), &mut extra);
+            Box::new(HashJoinStream {
+                ctx: Arc::clone(ctx),
+                left,
+                right: Some(right),
+                index: HashMap::new(),
+                pairs,
+                cur_left: None,
+                cur_key: None,
+                idx: 0,
+                cond: cond.clone(),
+                vars: Arc::new(vars),
+                lkeys: KeyCache::new(Side::Left),
+                rkeys: KeyCache::new(Side::Right),
+                slot: Vec::new(),
+            })
         }
         Op::SemiJoin {
             left,
@@ -281,39 +288,26 @@ pub(crate) fn build_stream_profiled(
         } => {
             let left = build_stream_profiled(left, ctx, env, profile, next)?;
             let right = build_stream_profiled(right, ctx, env, profile, next)?;
-            let split = mix_algebra::split_equi(cond.as_ref(), &left.vars(), &right.vars());
+            let pairs = join_keys(ctx, cond.as_ref(), &left.vars(), &right.vars(), &mut extra);
             let (kept, other) = match keep {
                 Side::Left => (left, right),
                 Side::Right => (right, left),
             };
-            if ctx.hash_joins && split.hashable() {
-                extra.push(("kernel", "hash".to_string()));
-                Box::new(HashSemiJoinStream {
-                    ctx: Arc::clone(ctx),
-                    kept,
-                    other: Some(other),
-                    index: HashMap::new(),
-                    pairs: split.pairs,
-                    cond: cond.clone(),
-                    keep: *keep,
-                    kept_keys: KeyCache::new(*keep),
-                    other_keys: KeyCache::new(match keep {
-                        Side::Left => Side::Right,
-                        Side::Right => Side::Left,
-                    }),
-                })
-            } else {
-                ctx.stats().inc(Counter::NlFallbacks);
-                extra.push(("kernel", "nl".to_string()));
-                Box::new(SemiJoinStream {
-                    ctx: Arc::clone(ctx),
-                    kept,
-                    other: Some(other),
-                    other_rows: Vec::new(),
-                    cond: cond.clone(),
-                    keep: *keep,
-                })
-            }
+            Box::new(HashSemiJoinStream {
+                ctx: Arc::clone(ctx),
+                kept,
+                other: Some(other),
+                index: HashMap::new(),
+                pairs,
+                cond: cond.clone(),
+                keep: *keep,
+                kept_keys: KeyCache::new(*keep),
+                other_keys: KeyCache::new(match keep {
+                    Side::Left => Side::Right,
+                    Side::Right => Side::Left,
+                }),
+                slot: Vec::new(),
+            })
         }
         Op::CrElt {
             input,
@@ -381,19 +375,12 @@ pub(crate) fn build_stream_profiled(
                 "mode",
                 match mode {
                     GByMode::StatelessPresorted => "presorted",
-                    GByMode::Stateful => "stateful",
                     GByMode::Hash | GByMode::Auto => "hash",
                 }
                 .to_string(),
             ));
             match mode {
                 GByMode::StatelessPresorted => Box::new(GByStream::new(
-                    Arc::clone(ctx),
-                    input,
-                    group.clone(),
-                    out.clone(),
-                )),
-                GByMode::Stateful => Box::new(GByStatefulStream::new(
                     Arc::clone(ctx),
                     input,
                     group.clone(),
@@ -440,6 +427,7 @@ pub(crate) fn build_stream_profiled(
                 vars: Arc::new(vars),
                 profile: profile.cloned(),
                 nested_base,
+                buf: Vec::new(),
             })
         }
         Op::NestedSrc { var } => {
@@ -511,6 +499,29 @@ pub(crate) fn build_stream_profiled(
     Ok(instrument(raw, op.name(), extra, ctx, profile, id))
 }
 
+/// The equi-key pairs a join kernel buckets on, and its `kernel=`
+/// attribute. No pairs — hash joins disabled, or no extractable
+/// equi-conjunct — makes the kernel a nested loop: one bucket holding
+/// the other input in its original order, every candidate re-verified
+/// against the full condition.
+fn join_keys(
+    ctx: &EvalContext,
+    cond: Option<&mix_algebra::Cond>,
+    left: &[Name],
+    right: &[Name],
+    extra: &mut Vec<(&'static str, String)>,
+) -> Vec<mix_algebra::EquiPair> {
+    let split = mix_algebra::split_equi(cond, left, right);
+    if ctx.hash_joins && split.hashable() {
+        extra.push(("kernel", "hash".to_string()));
+        split.pairs
+    } else {
+        ctx.stats().inc(Counter::NlFallbacks);
+        extra.push(("kernel", "nl".to_string()));
+        Vec::new()
+    }
+}
+
 /// Wrap `inner` so pulls/tuples are counted into `profile` and an
 /// operator span is emitted on the context's tracer. On the default
 /// path (no profile, tracer disabled) the stream is returned untouched
@@ -574,10 +585,11 @@ impl TStream for TracedStream {
         self.inner.vars()
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
+        let traced = self.tracer.enabled();
         if !self.started {
             self.started = true;
-            if self.tracer.enabled() {
+            if traced {
                 let mut attrs: Vec<(&'static str, String)> = vec![
                     ("node", self.id.to_string()),
                     ("depth", self.tracer.depth().to_string()),
@@ -586,53 +598,32 @@ impl TStream for TracedStream {
                 self.span = self.tracer.start_span(self.kind, &attrs);
             }
         }
-        self.pulls += 1;
-        if let Some(p) = &self.profile {
-            p.record_pull(self.id);
-        }
-        if let Some(s) = self.span {
-            self.tracer.push(s);
-        }
-        let t = self.inner.next();
-        if self.span.is_some() {
-            self.tracer.pop();
-        }
-        if let Ok(Some(_)) = &t {
-            self.tuples += 1;
+        // Traced: one tuple per span push, so spans and per-tuple events
+        // nest exactly alike whatever the block size.
+        let step = if traced { 1 } else { n };
+        let mut k = 0;
+        while k < n {
+            self.pulls += 1;
             if let Some(p) = &self.profile {
-                p.record_tuples(self.id, 1);
+                p.record_pull(self.id);
             }
-        }
-        t
-    }
-
-    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
-        if self.tracer.enabled() {
-            // Spans and per-tuple events must nest exactly as in the
-            // tuple-at-a-time path: fall back to per-tuple pulls so
-            // traced output is independent of the block size.
-            let mut k = 0;
-            while k < n {
-                match self.next()? {
-                    Some(t) => {
-                        out.push(t);
-                        k += 1;
-                    }
-                    None => break,
+            if let Some(s) = self.span {
+                self.tracer.push(s);
+            }
+            let got = self.inner.pull_block(out, step);
+            if self.span.is_some() {
+                self.tracer.pop();
+            }
+            let got = got?;
+            if got > 0 {
+                self.tuples += got as u64;
+                if let Some(p) = &self.profile {
+                    p.record_tuples(self.id, got as u64);
                 }
             }
-            return Ok(k);
-        }
-        self.started = true;
-        self.pulls += 1;
-        if let Some(p) = &self.profile {
-            p.record_pull(self.id);
-        }
-        let k = self.inner.pull_block(out, n)?;
-        if k > 0 {
-            self.tuples += k as u64;
-            if let Some(p) = &self.profile {
-                p.record_tuples(self.id, k as u64);
+            k += got;
+            if got < step {
+                break;
             }
         }
         Ok(k)
@@ -672,26 +663,29 @@ impl TStream for MkSrcStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        self.cur = if !self.started {
-            self.started = true;
-            self.doc.try_first_child(self.doc.root())?
-        } else {
-            match self.cur {
-                Some(c) => self.doc.try_next_sibling(c)?,
-                None => None,
-            }
-        };
-        let Some(n) = self.cur else {
-            return Ok(None);
-        };
-        Ok(Some(LTuple::new(
-            Arc::clone(&self.vars),
-            vec![LVal::Src {
-                doc: self.source.clone(),
-                node: n,
-            }],
-        )))
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
+        let mut k = 0;
+        while k < n {
+            self.cur = if !self.started {
+                self.started = true;
+                self.doc.try_first_child(self.doc.root())?
+            } else {
+                match self.cur {
+                    Some(c) => self.doc.try_next_sibling(c)?,
+                    None => None,
+                }
+            };
+            let Some(node) = self.cur else { break };
+            out.push(LTuple::new(
+                Arc::clone(&self.vars),
+                vec![LVal::Src {
+                    doc: self.source.clone(),
+                    node,
+                }],
+            ));
+            k += 1;
+        }
+        Ok(k)
     }
 }
 
@@ -702,6 +696,7 @@ struct MkSrcOverStream {
     inner: Box<dyn TStream>,
     view_var: Name,
     vars: Arc<Vec<Name>>,
+    slot: Vec<LTuple>,
 }
 
 impl TStream for MkSrcOverStream {
@@ -709,15 +704,20 @@ impl TStream for MkSrcOverStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        let Some(t) = self.inner.next()? else {
-            return Ok(None);
-        };
-        let v = t
-            .get(&self.view_var)
-            .ok_or_else(|| MixError::plan("view tD var unbound in mksrcOver"))?
-            .clone();
-        Ok(Some(LTuple::new(Arc::clone(&self.vars), vec![v])))
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
+        let mut k = 0;
+        while k < n {
+            let Some(t) = pull_one(&mut *self.inner, &mut self.slot)? else {
+                break;
+            };
+            let v = t
+                .get(&self.view_var)
+                .ok_or_else(|| MixError::plan("view tD var unbound in mksrcOver"))?
+                .clone();
+            out.push(LTuple::new(Arc::clone(&self.vars), vec![v]));
+            k += 1;
+        }
+        Ok(k)
     }
 }
 
@@ -728,6 +728,8 @@ struct GetDStream {
     path: mix_xml::LabelPath,
     vars: Arc<Vec<Name>>,
     pending: VecDeque<LTuple>,
+    /// Scratch for input blocks, reused across pulls.
+    buf: Vec<LTuple>,
 }
 
 impl GetDStream {
@@ -753,21 +755,8 @@ impl TStream for GetDStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        loop {
-            if let Some(t) = self.pending.pop_front() {
-                return Ok(Some(t));
-            }
-            let Some(t) = self.input.next()? else {
-                return Ok(None);
-            };
-            self.expand(t)?;
-        }
-    }
-
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
         let mut k = 0;
-        let mut buf = Vec::new();
         loop {
             while k < n {
                 match self.pending.pop_front() {
@@ -781,12 +770,14 @@ impl TStream for GetDStream {
             if k >= n {
                 return Ok(k);
             }
-            buf.clear();
-            if self.input.pull_block(&mut buf, n - k)? == 0 {
-                return Ok(k);
-            }
+            let mut buf = std::mem::take(&mut self.buf);
+            let got = self.input.pull_block(&mut buf, n - k)?;
             for t in buf.drain(..) {
                 self.expand(t)?;
+            }
+            self.buf = buf;
+            if got == 0 {
+                return Ok(k);
             }
         }
     }
@@ -806,17 +797,6 @@ struct SelectStream {
 impl TStream for SelectStream {
     fn vars(&self) -> Arc<Vec<Name>> {
         self.input.vars()
-    }
-
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        loop {
-            let Some(t) = self.input.next()? else {
-                return Ok(None);
-            };
-            if cond_holds(&self.ctx, &self.cond, &t) {
-                return Ok(Some(t));
-            }
-        }
     }
 
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
@@ -855,13 +835,6 @@ impl TStream for ProjectStream {
         Arc::clone(&self.keep)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        let Some(t) = self.input.next()? else {
-            return Ok(None);
-        };
-        Ok(Some(t.project(&self.keep)?))
-    }
-
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
         self.buf.clear();
         let got = self.input.pull_block(&mut self.buf, n)?;
@@ -877,71 +850,15 @@ impl TStream for ProjectStream {
     }
 }
 
-/// Nested-loop join, lazy in its left (driver) input; the right input
+/// The join kernel, lazy in its left (driver) input: the right input
 /// is drained when the first left tuple arrives, like the relational
 /// executor's build side — but *not* before: an empty driver does zero
-/// work on the inner input.
-struct JoinStream {
-    ctx: Arc<EvalContext>,
-    left: Box<dyn TStream>,
-    right: Option<Box<dyn TStream>>,
-    right_rows: Vec<LTuple>,
-    cur_left: Option<LTuple>,
-    idx: usize,
-    cond: Option<mix_algebra::Cond>,
-    vars: Arc<Vec<Name>>,
-}
-
-impl TStream for JoinStream {
-    fn vars(&self) -> Arc<Vec<Name>> {
-        Arc::clone(&self.vars)
-    }
-
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        loop {
-            if self.cur_left.is_none() {
-                if let Some(r) = self.right.as_mut() {
-                    // The build side will be drained as soon as a left
-                    // tuple arrives; let its prefetcher fetch while the
-                    // left pull does mediator work. An empty driver
-                    // still never *drains* the inner input.
-                    r.prime();
-                }
-                let Some(l) = self.left.next()? else {
-                    return Ok(None);
-                };
-                self.cur_left = Some(l);
-                self.idx = 0;
-                if let Some(mut right) = self.right.take() {
-                    drain_stream(&mut *right, &mut self.right_rows)?;
-                }
-            }
-            let l = self.cur_left.as_ref().unwrap();
-            while self.idx < self.right_rows.len() {
-                let r = &self.right_rows[self.idx];
-                self.idx += 1;
-                self.ctx.stats().inc(Counter::JoinProbes);
-                let joined = l.concat(r);
-                if self
-                    .cond
-                    .as_ref()
-                    .is_none_or(|c| cond_holds(&self.ctx, c, &joined))
-                {
-                    return Ok(Some(joined));
-                }
-            }
-            self.cur_left = None;
-        }
-    }
-}
-
-/// Hash equi-join: same contract as [`JoinStream`] (lazy driver,
-/// build side drained on first demand, output in left-major order with
-/// matches in right-input order), but candidate pairs come from a hash
-/// index over the extracted equi-keys instead of the full cross
-/// product. The full condition is still re-verified per candidate, so
-/// residual conjuncts and hash-normalization collisions are handled
-/// uniformly.
+/// work on the inner input. Candidate pairs come from a hash index over
+/// the extracted equi-keys; with no keys (the nested loop, see
+/// [`join_keys`]) the index is one bucket holding the right input in
+/// order. Output is left-major with matches in right-input order, and
+/// the full condition is re-verified per candidate, so residual
+/// conjuncts and hash-normalization collisions are handled uniformly.
 struct HashJoinStream {
     ctx: Arc<EvalContext>,
     left: Box<dyn TStream>,
@@ -957,63 +874,42 @@ struct HashJoinStream {
     /// load per tuple, not a name search ([`KeyCache`]).
     lkeys: KeyCache,
     rkeys: KeyCache,
+    /// The driver is pulled one tuple at a time: one left tuple may
+    /// fill the whole block, and pulling further ahead would ship
+    /// tuples a navigate-and-stop session never uses.
+    slot: Vec<LTuple>,
 }
 
-impl HashJoinStream {
-    fn build(&mut self) -> Result<()> {
-        let Some(mut right) = self.right.take() else {
-            return Ok(());
-        };
-        self.ctx.stats().inc(Counter::HashBuilds);
-        let mut buf = Vec::new();
-        drain_stream(&mut *right, &mut buf)?;
-        for t in buf {
-            // A keyless (Null) tuple can never satisfy the equi-conjuncts.
-            if let Some(k) = self.rkeys.key(&self.ctx, &t, &self.pairs) {
-                self.index.entry(k).or_default().push(t);
-            }
-        }
-        Ok(())
+/// Drain a join's build side (once: `input` is taken) into `index`,
+/// bucketed on its `keys` for `pairs`; each bucket keeps input order.
+/// With no pairs every tuple lands in the one empty-key bucket.
+fn build_index(
+    ctx: &EvalContext,
+    input: &mut Option<Box<dyn TStream>>,
+    keys: &mut KeyCache,
+    pairs: &[mix_algebra::EquiPair],
+    index: &mut HashMap<Vec<KeyPart>, Vec<LTuple>>,
+) -> Result<()> {
+    let Some(mut input) = input.take() else {
+        return Ok(());
+    };
+    if !pairs.is_empty() {
+        ctx.stats().inc(Counter::HashBuilds);
     }
+    let mut buf = Vec::new();
+    drain_stream(&mut *input, &mut buf)?;
+    for t in buf {
+        // A keyless (Null) tuple can never satisfy the equi-conjuncts.
+        if let Some(k) = keys.key(ctx, &t, pairs) {
+            index.entry(k).or_default().push(t);
+        }
+    }
+    Ok(())
 }
 
 impl TStream for HashJoinStream {
     fn vars(&self) -> Arc<Vec<Name>> {
         Arc::clone(&self.vars)
-    }
-
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        loop {
-            if self.cur_left.is_none() {
-                if let Some(r) = self.right.as_mut() {
-                    r.prime();
-                }
-                let Some(l) = self.left.next()? else {
-                    return Ok(None);
-                };
-                self.build()?;
-                self.cur_key = self.lkeys.key(&self.ctx, &l, &self.pairs);
-                self.cur_left = Some(l);
-                self.idx = 0;
-            }
-            let l = self.cur_left.as_ref().unwrap();
-            if let Some(bucket) = self.cur_key.as_ref().and_then(|k| self.index.get(k)) {
-                while self.idx < bucket.len() {
-                    let r = &bucket[self.idx];
-                    self.idx += 1;
-                    self.ctx.stats().inc(Counter::JoinProbes);
-                    let joined = l.concat(r);
-                    if self
-                        .cond
-                        .as_ref()
-                        .is_none_or(|c| cond_holds(&self.ctx, c, &joined))
-                    {
-                        return Ok(Some(joined));
-                    }
-                }
-            }
-            self.cur_left = None;
-        }
     }
 
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
@@ -1026,8 +922,17 @@ impl TStream for HashJoinStream {
                 if let Some(r) = self.right.as_mut() {
                     r.prime();
                 }
-                let Some(l) = self.left.next()? else { break };
-                self.build()?;
+                let Some(l) = pull_one(&mut *self.left, &mut self.slot)? else {
+                    break;
+                };
+                let (ctx, pairs) = (&self.ctx, &self.pairs);
+                build_index(
+                    ctx,
+                    &mut self.right,
+                    &mut self.rkeys,
+                    pairs,
+                    &mut self.index,
+                )?;
                 self.cur_key = self.lkeys.key(&self.ctx, &l, &self.pairs);
                 self.cur_left = Some(l);
                 self.idx = 0;
@@ -1062,52 +967,11 @@ impl TStream for HashJoinStream {
     }
 }
 
-struct SemiJoinStream {
-    ctx: Arc<EvalContext>,
-    kept: Box<dyn TStream>,
-    other: Option<Box<dyn TStream>>,
-    other_rows: Vec<LTuple>,
-    cond: Option<mix_algebra::Cond>,
-    keep: Side,
-}
-
-impl TStream for SemiJoinStream {
-    fn vars(&self) -> Arc<Vec<Name>> {
-        self.kept.vars()
-    }
-
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        loop {
-            if let Some(o) = self.other.as_mut() {
-                o.prime();
-            }
-            let Some(t) = self.kept.next()? else {
-                return Ok(None);
-            };
-            if let Some(mut other) = self.other.take() {
-                drain_stream(&mut *other, &mut self.other_rows)?;
-            }
-            let stats = self.ctx.stats();
-            let matched = self.other_rows.iter().any(|o| {
-                stats.inc(Counter::JoinProbes);
-                let joined = match self.keep {
-                    Side::Left => t.concat(o),
-                    Side::Right => o.concat(&t),
-                };
-                self.cond
-                    .as_ref()
-                    .is_none_or(|c| cond_holds(&self.ctx, c, &joined))
-            });
-            if matched {
-                return Ok(Some(t));
-            }
-        }
-    }
-}
-
-/// Hash semi-join: the kept side streams through; the other side is
-/// hashed on first demand and each kept tuple is admitted iff its
-/// bucket holds a candidate satisfying the full condition.
+/// The semi-join kernel: the kept side streams through, one tuple per
+/// pull (each may be rejected, so it never pulls ahead); the other side
+/// is indexed on first demand like [`HashJoinStream`]'s build side, and
+/// each kept tuple is admitted iff its bucket holds a candidate
+/// satisfying the full condition.
 struct HashSemiJoinStream {
     ctx: Arc<EvalContext>,
     kept: Box<dyn TStream>,
@@ -1118,37 +982,18 @@ struct HashSemiJoinStream {
     keep: Side,
     kept_keys: KeyCache,
     other_keys: KeyCache,
+    slot: Vec<LTuple>,
 }
 
 impl HashSemiJoinStream {
     /// Join-side roles: the extracted pairs are oriented by the
     /// *operator's* left/right inputs, while `kept`/`other` are chosen
     /// by `keep`.
-    fn kept_side(&self) -> Side {
-        self.keep
-    }
-
     fn other_side(&self) -> Side {
         match self.keep {
             Side::Left => Side::Right,
             Side::Right => Side::Left,
         }
-    }
-
-    fn build(&mut self) -> Result<()> {
-        let Some(mut other) = self.other.take() else {
-            return Ok(());
-        };
-        self.ctx.stats().inc(Counter::HashBuilds);
-        debug_assert_eq!(self.other_keys.side(), self.other_side());
-        let mut buf = Vec::new();
-        drain_stream(&mut *other, &mut buf)?;
-        for t in buf {
-            if let Some(k) = self.other_keys.key(&self.ctx, &t, &self.pairs) {
-                self.index.entry(k).or_default().push(t);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1157,20 +1002,27 @@ impl TStream for HashSemiJoinStream {
         self.kept.vars()
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        loop {
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
+        let mut k = 0;
+        while k < n {
             if let Some(o) = self.other.as_mut() {
                 o.prime();
             }
-            let Some(t) = self.kept.next()? else {
-                return Ok(None);
+            let Some(t) = pull_one(&mut *self.kept, &mut self.slot)? else {
+                break;
             };
-            self.build()?;
-            debug_assert_eq!(self.kept_keys.side(), self.kept_side());
-            let Some(key) = self.kept_keys.key(&self.ctx, &t, &self.pairs) else {
-                continue;
-            };
-            let Some(bucket) = self.index.get(&key) else {
+            debug_assert_eq!(self.other_keys.side(), self.other_side());
+            let (ctx, pairs) = (&self.ctx, &self.pairs);
+            build_index(
+                ctx,
+                &mut self.other,
+                &mut self.other_keys,
+                pairs,
+                &mut self.index,
+            )?;
+            debug_assert_eq!(self.kept_keys.side(), self.keep);
+            let key = self.kept_keys.key(&self.ctx, &t, &self.pairs);
+            let Some(bucket) = key.and_then(|key| self.index.get(&key)) else {
                 continue;
             };
             let stats = self.ctx.stats();
@@ -1185,9 +1037,11 @@ impl TStream for HashSemiJoinStream {
                     .is_none_or(|c| cond_holds(&self.ctx, c, &joined))
             });
             if matched {
-                return Ok(Some(t));
+                out.push(t);
+                k += 1;
             }
         }
+        Ok(k)
     }
 }
 
@@ -1237,13 +1091,6 @@ impl TStream for MapStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        let Some(t) = self.input.next()? else {
-            return Ok(None);
-        };
-        Ok(Some(self.apply(t)?))
-    }
-
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
@@ -1268,25 +1115,11 @@ impl TStream for MapStream {
 struct GByShared {
     input: Box<dyn TStream>,
     block: BlockBuf,
-    lookahead: Option<LTuple>,
-    done: bool,
 }
 
 impl GByShared {
     fn pull(&mut self) -> Result<Option<LTuple>> {
-        if let Some(t) = self.lookahead.take() {
-            return Ok(Some(t));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        match self.block.pull(&mut *self.input)? {
-            Some(t) => Ok(Some(t)),
-            None => {
-                self.done = true;
-                Ok(None)
-            }
-        }
+        self.block.pull(&mut *self.input)
     }
 }
 
@@ -1322,15 +1155,10 @@ impl GByStream {
             .iter()
             .map(|g| in_vars.iter().position(|v| v == g))
             .collect();
-        let block = BlockBuf::new(ctx.block, ctx.block_ramp());
+        let block = BlockBuf::new(ctx.block_ramp());
         GByStream {
             ctx,
-            shared: Arc::new(Mutex::new(GByShared {
-                input,
-                block,
-                lookahead: None,
-                done: false,
-            })),
+            shared: Arc::new(Mutex::new(GByShared { input, block })),
             group,
             positions,
             pos: None,
@@ -1357,151 +1185,80 @@ impl TStream for GByStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        // Finish the previous group first (skipping forward drains it).
-        if let Some(prev) = self.current.take() {
-            prev.force()?;
-        }
-        let Some(seed) = self.shared.lock().unwrap().pull()? else {
-            return Ok(None);
-        };
-        let pos: Arc<[usize]> = match &self.pos {
-            Some(p) => Arc::clone(p),
-            None => {
-                let resolved: Vec<usize> = self
-                    .positions
-                    .iter()
-                    .zip(&self.group)
-                    .map(|(p, g)| {
-                        p.ok_or_else(|| {
-                            MixError::plan(format!("group var {} unbound", g.display_var()))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let p: Arc<[usize]> = Arc::from(resolved);
-                self.pos = Some(Arc::clone(&p));
-                p
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
+        let mut k = 0;
+        while k < n {
+            // Finish the previous group first (skipping forward drains it).
+            if let Some(prev) = self.current.take() {
+                prev.force()?;
             }
-        };
-        let key: Vec<Oid> = pos
-            .iter()
-            .map(|&i| self.ctx.lval_key(&seed.vals[i]))
-            .collect();
-        // Room for the trailing partition binding pushed below.
-        let mut group_vals: Vec<LVal> = Vec::with_capacity(pos.len() + 1);
-        group_vals.extend(pos.iter().map(|&i| seed.vals[i].clone()));
-        // The partition producer: first the seed, then shared tuples
-        // while the key matches (compared slot-wise, no per-tuple key
-        // vector); a mismatching tuple is pushed back into the
-        // lookahead slot.
-        let shared = Arc::clone(&self.shared);
-        let ctx = Arc::clone(&self.ctx);
-        let my_key = key;
-        let mut seed = Some(seed);
-        let producer = Box::new(move || {
-            if let Some(s) = seed.take() {
-                return Ok(Some(s));
-            }
-            let mut sh = shared.lock().unwrap();
-            let Some(t) = sh.pull()? else {
-                return Ok(None);
+            let Some(seed) = self.shared.lock().unwrap().pull()? else {
+                break;
             };
-            let same = pos
-                .iter()
-                .zip(&my_key)
-                .all(|(&i, k)| ctx.lval_key(&t.vals[i]) == *k);
-            if same {
-                Ok(Some(t))
-            } else {
-                sh.lookahead = Some(t);
-                Ok(None)
-            }
-        });
-        let part = Partition::new(Arc::clone(&self.in_vars), producer);
-        self.current = Some(part.clone());
-        let mut vals = group_vals;
-        vals.push(LVal::Part(part));
-        Ok(Some(LTuple::new(Arc::clone(&self.vars), vals)))
-    }
-}
-
-/// The buffering (stateful) groupBy: drains and hash-partitions its
-/// input up front. Correct on unsorted input; pays full
-/// materialization.
-struct GByStatefulStream {
-    ctx: Arc<EvalContext>,
-    input: Option<Box<dyn TStream>>,
-    group: Vec<Name>,
-    in_vars: Arc<Vec<Name>>,
-    vars: Arc<Vec<Name>>,
-    groups: Vec<(Vec<LVal>, Vec<LTuple>)>,
-    idx: usize,
-}
-
-impl GByStatefulStream {
-    fn new(
-        ctx: Arc<EvalContext>,
-        input: Box<dyn TStream>,
-        group: Vec<Name>,
-        out: Name,
-    ) -> GByStatefulStream {
-        let in_vars = input.vars();
-        let vars: Vec<Name> = group.iter().cloned().chain([out]).collect();
-        GByStatefulStream {
-            ctx,
-            input: Some(input),
-            group,
-            in_vars,
-            vars: Arc::new(vars),
-            groups: Vec::new(),
-            idx: 0,
-        }
-    }
-}
-
-impl TStream for GByStatefulStream {
-    fn vars(&self) -> Arc<Vec<Name>> {
-        Arc::clone(&self.vars)
-    }
-
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        if let Some(mut input) = self.input.take() {
-            let mut map: HashMap<Vec<Oid>, usize> = HashMap::new();
-            let mut buf = Vec::new();
-            drain_stream(&mut *input, &mut buf)?;
-            for t in buf {
-                let key = group_key(&self.ctx, &t, &self.group)?;
-                let next_slot = self.groups.len();
-                let slot = *map.entry(key).or_insert_with(|| next_slot);
-                if slot == self.groups.len() {
-                    let vals: Vec<LVal> = self
-                        .group
+            let pos: Arc<[usize]> = match &self.pos {
+                Some(p) => Arc::clone(p),
+                None => {
+                    let resolved: Vec<usize> = self
+                        .positions
                         .iter()
-                        .map(|g| {
-                            t.get(g)
-                                .cloned()
-                                .ok_or_else(|| MixError::plan("group var unbound"))
+                        .zip(&self.group)
+                        .map(|(p, g)| {
+                            p.ok_or_else(|| {
+                                MixError::plan(format!("group var {} unbound", g.display_var()))
+                            })
                         })
                         .collect::<Result<_>>()?;
-                    self.groups.push((vals, Vec::new()));
+                    let p: Arc<[usize]> = Arc::from(resolved);
+                    self.pos = Some(Arc::clone(&p));
+                    p
                 }
-                self.groups[slot].1.push(t);
-            }
+            };
+            let key: Vec<Oid> = pos
+                .iter()
+                .map(|&i| self.ctx.lval_key(&seed.vals[i]))
+                .collect();
+            // Room for the trailing partition binding pushed below.
+            let mut vals: Vec<LVal> = Vec::with_capacity(pos.len() + 1);
+            vals.extend(pos.iter().map(|&i| seed.vals[i].clone()));
+            // The partition producer: first the seed, then shared tuples
+            // while the key matches (compared slot-wise, no per-tuple key
+            // vector); a mismatching tuple is pushed back to the front of
+            // the shared buffer.
+            let shared = Arc::clone(&self.shared);
+            let ctx = Arc::clone(&self.ctx);
+            let mut seed = Some(seed);
+            let producer = Box::new(move || {
+                if let Some(s) = seed.take() {
+                    return Ok(Some(s));
+                }
+                let mut sh = shared.lock().unwrap();
+                let Some(t) = sh.pull()? else {
+                    return Ok(None);
+                };
+                let same = pos
+                    .iter()
+                    .zip(&key)
+                    .all(|(&i, k)| ctx.lval_key(&t.vals[i]) == *k);
+                if same {
+                    Ok(Some(t))
+                } else {
+                    sh.block.push_back(t);
+                    Ok(None)
+                }
+            });
+            let part = Partition::new(Arc::clone(&self.in_vars), producer);
+            self.current = Some(part.clone());
+            vals.push(LVal::Part(part));
+            out.push(LTuple::new(Arc::clone(&self.vars), vals));
+            k += 1;
         }
-        let Some((vals, tuples)) = self.groups.get(self.idx) else {
-            return Ok(None);
-        };
-        self.idx += 1;
-        let part = Partition::done(Arc::clone(&self.in_vars), tuples.clone());
-        let mut vals = vals.clone();
-        vals.push(LVal::Part(part));
-        Ok(Some(LTuple::new(Arc::clone(&self.vars), vals)))
+        Ok(k)
     }
 }
 
-/// The hash `gBy`: hash-partitions like [`GByStatefulStream`] (groups
-/// in first-seen order, correct on unsorted input) but spools its
-/// input *on demand*. Producing the n-th group tuple pulls only until
+/// The hash `gBy`: hash-partitions its input (groups in first-seen
+/// order, correct on unsorted input), spooling it *on demand*, one
+/// tuple per pull. Producing the n-th group tuple pulls only until
 /// the n-th distinct key appears; forcing a partition drains the rest
 /// of the input, since a later tuple may still belong to the group.
 /// On key-contiguous input the output is identical to the presorted
@@ -1513,6 +1270,7 @@ struct GByHashShared {
     group: Vec<Name>,
     groups: Vec<(Vec<LVal>, Vec<LTuple>)>,
     index: HashMap<Vec<Oid>, usize>,
+    slot: Vec<LTuple>,
 }
 
 impl GByHashShared {
@@ -1522,7 +1280,7 @@ impl GByHashShared {
         if self.done {
             return Ok(false);
         }
-        let Some(t) = self.input.next()? else {
+        let Some(t) = pull_one(&mut *self.input, &mut self.slot)? else {
             self.done = true;
             return Ok(false);
         };
@@ -1575,6 +1333,7 @@ impl GByHashStream {
                 group,
                 groups: Vec::new(),
                 index: HashMap::new(),
+                slot: Vec::new(),
             })),
             in_vars,
             vars: Arc::new(vars),
@@ -1588,36 +1347,40 @@ impl TStream for GByHashStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        let g = self.next_group;
-        loop {
-            let mut sh = self.shared.lock().unwrap();
-            if sh.groups.len() > g {
-                break;
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
+        let mut k = 0;
+        while k < n {
+            let g = self.next_group;
+            loop {
+                let mut sh = self.shared.lock().unwrap();
+                if sh.groups.len() > g {
+                    break;
+                }
+                if !sh.advance()? {
+                    return Ok(k);
+                }
             }
-            if !sh.advance()? {
-                return Ok(None);
-            }
+            self.next_group += 1;
+            let mut vals = self.shared.lock().unwrap().groups[g].0.clone();
+            let shared = Arc::clone(&self.shared);
+            let mut i = 0;
+            let producer = Box::new(move || loop {
+                let mut sh = shared.lock().unwrap();
+                if i < sh.groups[g].1.len() {
+                    let t = sh.groups[g].1[i].clone();
+                    i += 1;
+                    return Ok(Some(t));
+                }
+                if !sh.advance()? {
+                    return Ok(None);
+                }
+            });
+            let part = Partition::new(Arc::clone(&self.in_vars), producer);
+            vals.push(LVal::Part(part));
+            out.push(LTuple::new(Arc::clone(&self.vars), vals));
+            k += 1;
         }
-        self.next_group += 1;
-        let group_vals = self.shared.lock().unwrap().groups[g].0.clone();
-        let shared = Arc::clone(&self.shared);
-        let mut i = 0;
-        let producer = Box::new(move || loop {
-            let mut sh = shared.lock().unwrap();
-            if i < sh.groups[g].1.len() {
-                let t = sh.groups[g].1[i].clone();
-                i += 1;
-                return Ok(Some(t));
-            }
-            if !sh.advance()? {
-                return Ok(None);
-            }
-        });
-        let part = Partition::new(Arc::clone(&self.in_vars), producer);
-        let mut vals = group_vals;
-        vals.push(LVal::Part(part));
-        Ok(Some(LTuple::new(Arc::clone(&self.vars), vals)))
+        Ok(k)
     }
 }
 
@@ -1637,6 +1400,8 @@ struct ApplyStream {
     /// its streams from `nested_base + 1`, so metrics aggregate across
     /// activations.
     nested_base: usize,
+    /// Scratch for input blocks, reused across pulls.
+    buf: Vec<LTuple>,
 }
 
 impl ApplyStream {
@@ -1668,6 +1433,9 @@ impl ApplyStream {
         let profile = self.profile.clone();
         let nested_base = self.nested_base;
         let mut state: Option<(Box<dyn TStream>, std::collections::HashSet<mix_xml::Oid>)> = None;
+        // The list is forced one element at a time, so the nested
+        // stream is pulled one tuple at a time.
+        let mut slot = Vec::new();
         let lazy = LazyList::new(Box::new(move || {
             // Compile on first demand; a compile failure surfaces as the
             // list's error (get_or_insert_with cannot propagate it).
@@ -1688,7 +1456,7 @@ impl ApplyStream {
             }
             let (nested, seen) = state.as_mut().expect("just initialized");
             loop {
-                let Some(t) = nested.next()? else {
+                let Some(t) = pull_one(&mut **nested, &mut slot)? else {
                     return Ok(None);
                 };
                 let v = t
@@ -1716,19 +1484,13 @@ impl TStream for ApplyStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        let Some(t) = self.input.next()? else {
-            return Ok(None);
-        };
-        Ok(Some(self.activate(t)?))
-    }
-
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
-        let mut buf = Vec::with_capacity(n.min(mix_common::MAX_AUTO_BLOCK));
+        let mut buf = std::mem::take(&mut self.buf);
         let got = self.input.pull_block(&mut buf, n)?;
-        for t in buf {
+        for t in buf.drain(..) {
             out.push(self.activate(t)?);
         }
+        self.buf = buf;
         Ok(got)
     }
 }
@@ -1744,12 +1506,17 @@ impl TStream for NestedSrcStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        let Some(t) = self.part.get(self.idx)? else {
-            return Ok(None);
-        };
-        self.idx += 1;
-        Ok(Some(t))
+    fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
+        let mut k = 0;
+        while k < n {
+            let Some(t) = self.part.get(self.idx)? else {
+                break;
+            };
+            self.idx += 1;
+            out.push(t);
+            k += 1;
+        }
+        Ok(k)
     }
 }
 
@@ -2078,17 +1845,6 @@ impl TStream for RelQueryStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        loop {
-            if let Some(t) = self.pending.pop_front() {
-                return Ok(Some(t));
-            }
-            if !self.refill()? {
-                return Ok(None);
-            }
-        }
-    }
-
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
         let mut k = 0;
         while k < n {
@@ -2132,15 +1888,6 @@ impl TStream for OrderByStream {
                 .map(|t| Arc::clone(&t.vars))
                 .unwrap_or_else(|| Arc::new(Vec::new())),
         }
-    }
-
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        self.force()?;
-        let Some(t) = self.sorted.get(self.idx) else {
-            return Ok(None);
-        };
-        self.idx += 1;
-        Ok(Some(t.clone()))
     }
 
     fn pull_block(&mut self, out: &mut Vec<LTuple>, n: usize) -> Result<usize> {
@@ -2187,8 +1934,8 @@ impl TStream for EmptyStream {
         Arc::clone(&self.vars)
     }
 
-    fn next(&mut self) -> Result<Option<LTuple>> {
-        Ok(None)
+    fn pull_block(&mut self, _out: &mut Vec<LTuple>, _n: usize) -> Result<usize> {
+        Ok(0)
     }
 }
 
@@ -2307,27 +2054,6 @@ mod tests {
         )
         .unwrap();
         mix_wrapper::wrap_customers_orders(db)
-    }
-
-    #[test]
-    fn stateful_gby_handles_unsorted_input() {
-        let ctx = Arc::new({
-            let mut c = EvalContext::new(interleaved_catalog(), AccessMode::Lazy);
-            c.gby_mode = GByMode::Stateful;
-            c
-        });
-        // Group orders by the cid *value* (data() leaf): keys run
-        // XYZ123, XYZ123, DEF345, XYZ123 — not presorted.
-        let op = plan_input(
-            "FOR $O IN document(root2)/order $B IN $O/cid/data() \
-                             RETURN <g> $O </g> {$B}",
-        );
-        let mut s = build_stream(&op, &ctx, &Arc::new(HashMap::new())).unwrap();
-        let mut groups = 0;
-        while s.next().unwrap().is_some() {
-            groups += 1;
-        }
-        assert_eq!(groups, 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::context::EvalContext;
 use crate::lval::{LList, LVal};
-use crate::stream::{build_stream_profiled, TStream};
+use crate::stream::{build_stream_profiled, BlockBuf, TStream};
 use mix_algebra::Op;
 use mix_common::{Counter, MixError, Name, Result, Value};
 use mix_obs::ExecProfile;
@@ -45,10 +45,9 @@ struct Inner {
     td_var: Name,
     /// Vertex ids already exported at the root (tD set semantics).
     seen_root: std::collections::HashSet<mix_xml::Oid>,
-    /// Tuples prefetched ahead of root navigation (adaptive block
-    /// fetching; empty under [`mix_common::BlockPolicy::Off`]).
-    pending: std::collections::VecDeque<crate::lval::LTuple>,
-    ramp: mix_common::BlockRamp,
+    /// Tuples prefetched ahead of root navigation on the context's
+    /// block ramp.
+    block: BlockBuf,
     /// A backend/plan failure that stopped expansion. Nodes
     /// materialized before it stay navigable; asking for more past the
     /// failure point re-reports it.
@@ -115,7 +114,14 @@ impl VirtualResult {
             kids: Vec::new(),
             kids_done: false,
         };
-        let ramp = ctx.block_ramp();
+        // Traced sessions pull one tuple per step so recorded span/event
+        // sequences stay identical to the paper's one-tuple-per-pull
+        // model.
+        let ramp = if ctx.tracer.enabled() {
+            mix_common::BlockPolicy::Off.ramp()
+        } else {
+            ctx.block_ramp()
+        };
         Ok(VirtualResult {
             ctx,
             name,
@@ -125,8 +131,7 @@ impl VirtualResult {
                 stream,
                 td_var,
                 seen_root: std::collections::HashSet::new(),
-                pending: std::collections::VecDeque::new(),
-                ramp,
+                block: BlockBuf::new(ramp),
                 error: None,
             }),
         })
@@ -238,8 +243,9 @@ impl VirtualResult {
             match &node.kind {
                 VKind::Root => {
                     let td_var = inner.td_var.clone();
-                    if inner.pending.is_empty() {
-                        if inner.stream.is_none() {
+                    let Some(t) = inner.block.pop() else {
+                        let Inner { stream, block, .. } = &mut *inner;
+                        let Some(stream) = stream.as_mut() else {
                             // A stream torn down by a backend failure
                             // re-reports it; a drained stream is done.
                             if let Some(e) = &inner.error {
@@ -247,35 +253,22 @@ impl VirtualResult {
                             }
                             inner.nodes[parent as usize].kids_done = true;
                             continue;
-                        }
-                        // Prefetch a ramp-sized block of result tuples.
-                        // Traced sessions pull one tuple per step so
-                        // recorded span/event sequences stay identical
-                        // to the paper's one-tuple-per-pull model.
-                        let want = if self.ctx.tracer.enabled() {
-                            1
-                        } else {
-                            inner.ramp.next_size()
                         };
-                        let stream = inner.stream.as_mut().expect("checked above");
                         self.profile.record_pull(0);
-                        let mut buf = Vec::new();
-                        let got = match stream.pull_block(&mut buf, want) {
-                            Ok(g) => g,
+                        match block.refill(&mut **stream) {
+                            Ok(0) => {
+                                inner.stream = None;
+                                inner.nodes[parent as usize].kids_done = true;
+                            }
+                            Ok(_) => {}
                             Err(e) => {
                                 inner.stream = None;
                                 inner.error = Some(e.clone());
                                 return Err(e);
                             }
-                        };
-                        if got == 0 {
-                            inner.stream = None;
-                            inner.nodes[parent as usize].kids_done = true;
-                            continue;
                         }
-                        inner.pending.extend(buf);
-                    }
-                    let t = inner.pending.pop_front().expect("pending refilled above");
+                        continue;
+                    };
                     let val = t
                         .get(&td_var)
                         .ok_or_else(|| MixError::plan("tD var unbound"))?

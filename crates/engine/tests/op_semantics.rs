@@ -4,7 +4,7 @@
 
 use mix_algebra::{CatArg, ChildSpec, Cond, Op, Side};
 use mix_common::{CmpOp, Name};
-use mix_engine::stream::build_stream;
+use mix_engine::stream::{build_stream, TStream};
 use mix_engine::{eager, AccessMode, EvalContext, LTuple, LVal};
 use mix_wrapper::fig2_catalog;
 use mix_xml::LabelPath;
@@ -60,7 +60,34 @@ fn render_val(ctx: &EvalContext, v: &LVal) -> String {
     }
 }
 
-/// Evaluate `op` with both engines and assert identical tuples.
+/// Drain `stream` with pulls of `size()` tuples each, checking every
+/// operator's `pull_block` contract on the way: `k ≤ n`, and a short
+/// pull (exhaustion) is followed only by empty pulls.
+fn drain_blocks(stream: &mut dyn TStream, mut size: impl FnMut() -> usize) -> Vec<LTuple> {
+    let mut out = Vec::new();
+    loop {
+        let n = size();
+        let before = out.len();
+        let k = stream.pull_block(&mut out, n).unwrap();
+        assert_eq!(out.len() - before, k, "the count is the tuples appended");
+        assert!(k <= n, "a pull of {n} returned {k}");
+        if k < n {
+            for n in [1, 7] {
+                assert_eq!(
+                    stream.pull_block(&mut out, n).unwrap(),
+                    0,
+                    "pull after exhaustion"
+                );
+            }
+            return out;
+        }
+    }
+}
+
+/// Evaluate `op` with both engines and assert identical tuples. The
+/// lazy side runs with and without hash joins and is drained three
+/// ways: one `next()` at a time, in 512-tuple blocks, and in a seeded
+/// sequence of 1/2/3/7-tuple pulls.
 fn assert_engines_agree(op: &Op) -> Vec<String> {
     let (catalog, _) = fig2_catalog();
     // eager
@@ -68,13 +95,32 @@ fn assert_engines_agree(op: &Op) -> Vec<String> {
     let table = eager::eval_table(op, &ectx, &HashMap::new()).unwrap();
     let eager_rows: Vec<String> = table.tuples.iter().map(|t| tuple_key(&ectx, t)).collect();
     // lazy
-    let lctx = Arc::new(EvalContext::new(catalog, AccessMode::Lazy));
-    let mut stream = build_stream(op, &lctx, &Arc::new(HashMap::new())).unwrap();
-    let mut lazy_rows = Vec::new();
-    while let Some(t) = stream.next().unwrap() {
-        lazy_rows.push(tuple_key(&lctx, &t));
+    for hash_joins in [true, false] {
+        for drain in ["next", "block", "mixed"] {
+            let mut lctx = EvalContext::new(catalog.clone(), AccessMode::Lazy);
+            lctx.hash_joins = hash_joins;
+            let lctx = Arc::new(lctx);
+            let mut stream = build_stream(op, &lctx, &Arc::new(HashMap::new())).unwrap();
+            let mut seed = 0x5eed_u64;
+            let tuples: Vec<LTuple> = match drain {
+                "next" => std::iter::from_fn(|| stream.next().unwrap()).collect(),
+                "block" => drain_blocks(&mut *stream, || 512),
+                _ => drain_blocks(&mut *stream, || {
+                    seed = seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    [1, 2, 3, 7][(seed >> 33) as usize % 4]
+                }),
+            };
+            let lazy_rows: Vec<String> = tuples.iter().map(|t| tuple_key(&lctx, t)).collect();
+            assert_eq!(
+                eager_rows,
+                lazy_rows,
+                "engines disagree for {} (hash_joins={hash_joins}, drain={drain})",
+                op.head()
+            );
+        }
     }
-    assert_eq!(eager_rows, lazy_rows, "engines disagree for {}", op.head());
     eager_rows
 }
 

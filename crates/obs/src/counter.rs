@@ -47,8 +47,8 @@ pub enum Counter {
     /// pay one per probe-side tuple plus bucket matches, i.e.
     /// O(|L| + |R| + |output|).
     JoinProbes,
-    /// Joins/semi-joins that fell back to the nested-loop kernel
-    /// because no equi-conjunct was extractable.
+    /// Joins/semi-joins run as nested loops (the join kernel with no
+    /// keys): no equi-conjunct was extractable, or hash joins are off.
     NlFallbacks,
     /// Decontextualized-plan cache hits in the QDOM session.
     PlanCacheHits,

@@ -28,8 +28,6 @@ pub enum Variant {
     BlockFixed,
     /// Nested-loop joins only.
     NoHashJoins,
-    /// Buffering (drain-then-partition) groupby operator.
-    GByStateful,
     /// Lazy hash groupby forced even where Auto would pick presorted.
     GByHash,
     /// One-tuple blocks under nested-loop joins: every operator
@@ -63,7 +61,6 @@ pub const ALL_VARIANTS: &[Variant] = &[
     Variant::BlockOff,
     Variant::BlockFixed,
     Variant::NoHashJoins,
-    Variant::GByStateful,
     Variant::GByHash,
     Variant::TinyBlocksNlj,
     Variant::NoOptimize,
@@ -84,7 +81,6 @@ impl Variant {
             Variant::BlockOff => "block-off",
             Variant::BlockFixed => "block-fixed",
             Variant::NoHashJoins => "no-hash-joins",
-            Variant::GByStateful => "gby-stateful",
             Variant::GByHash => "gby-hash",
             Variant::TinyBlocksNlj => "tiny-blocks-nlj",
             Variant::NoOptimize => "no-optimize",
@@ -137,7 +133,6 @@ impl Variant {
             Variant::BlockOff => b.block(BlockPolicy::Off),
             Variant::BlockFixed => b.block(BlockPolicy::Fixed(3)),
             Variant::NoHashJoins => b.hash_joins(false),
-            Variant::GByStateful => b.gby(GByMode::Stateful),
             Variant::GByHash => b.gby(GByMode::Hash),
             Variant::TinyBlocksNlj => b.block(BlockPolicy::Fixed(1)).hash_joins(false),
             Variant::NoOptimize => b.optimize(false),

@@ -42,6 +42,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> examples/explain.rs smoke run"
 cargo run --quiet --release --example explain >/dev/null
 
+echo "==> E7 smoke run (presorted vs hash groupBy, Table 1's trade-off)"
+cargo run --quiet --release -p mix-bench --bin experiments -- e7 >/dev/null
+
 echo "==> block_sweep bench smoke run"
 cargo bench -p mix-bench --bench block_sweep -- --smoke >/dev/null
 

@@ -128,11 +128,9 @@ fn hash_and_nested_loop_join_kernels_agree() {
     }
 }
 
-/// All four `groupBy` kernels (presorted stateless, stateful, hash,
-/// auto) produce identical results on key-contiguous inputs — the Q1
-/// shape, whose gBy inputs the sortedness analysis proves contiguous —
-/// and the order-insensitive kernels also agree with each other on
-/// arbitrary inputs.
+/// All three `groupBy` modes (presorted stateless, hash, auto) produce
+/// identical results on key-contiguous inputs — the Q1 shape, whose gBy
+/// inputs the sortedness analysis proves contiguous.
 #[test]
 fn gby_kernels_agree() {
     let mut rng = Lcg(424);
@@ -152,7 +150,7 @@ fn gby_kernels_agree() {
                 &catalog,
                 &query,
             );
-            for gby in [GByMode::Stateful, GByMode::Hash, GByMode::Auto] {
+            for gby in [GByMode::Hash, GByMode::Auto] {
                 let got = run_with(
                     MediatorOptions::builder()
                         .optimize(optimize)

@@ -211,6 +211,7 @@ fn hash_join_probes_are_linear_not_quadratic() {
     let (catalog, _db) = customers_orders(n, per, 19);
     let mut probes = Vec::new();
     let mut builds = Vec::new();
+    let mut fallbacks = Vec::new();
     for hash_joins in [true, false] {
         let m = Mediator::with_options(
             catalog.clone(),
@@ -225,6 +226,7 @@ fn hash_join_probes_are_linear_not_quadratic() {
         let _ = s.render(p0); // force the full result
         probes.push(s.ctx().stats().get(Counter::JoinProbes));
         builds.push(s.ctx().stats().get(Counter::HashBuilds));
+        fallbacks.push(s.ctx().stats().get(Counter::NlFallbacks));
     }
     let (hash, nl) = (probes[0], probes[1]);
     let (l, r) = ((n) as u64, (n * per) as u64);
@@ -232,9 +234,71 @@ fn hash_join_probes_are_linear_not_quadratic() {
     // exactly one customer, so ≤ |L| + |R| + |output|.
     assert!(hash <= l + 2 * r, "hash probes={hash}");
     assert!(builds[0] >= 1, "hash kernel built an index");
+    assert_eq!(builds[1], 0, "the nested loop builds no keyed index");
     // Nested loop: every pair.
     assert!(nl >= l * r, "nl probes={nl}");
     assert!(hash * 5 < nl, "hash={hash} nl={nl}");
+    // Exact counters per kernel (probes, builds, fallbacks): a kernel
+    // change that moves any of them fails here.
+    assert_eq!((probes[0], builds[0], fallbacks[0]), (90, 1, 0), "hash");
+    assert_eq!((probes[1], builds[1], fallbacks[1]), (2700, 0, 1), "nl");
+
+    // The same pins for a mediator-side semi-join: customers ⋉ orders
+    // on the customer id, drained through the virtual result.
+    use mix::algebra::{Cond, Op, Side};
+    use mix::xml::path::LabelPath;
+    use std::sync::Arc;
+    // mksrc → getD(element) → getD(element.field.data())
+    let side = |src: &str, elem: &str, var: &str, field: &str, id: &str| {
+        let doc_var = format!("{var}0");
+        Op::GetD {
+            input: Box::new(Op::GetD {
+                input: Box::new(Op::MkSrc {
+                    source: src.into(),
+                    var: doc_var.as_str().into(),
+                }),
+                from: doc_var.as_str().into(),
+                path: LabelPath::parse(elem).unwrap(),
+                to: var.into(),
+            }),
+            from: var.into(),
+            path: LabelPath::parse(&format!("{elem}.{field}.data()")).unwrap(),
+            to: id.into(),
+        }
+    };
+    let plan = Plan::new(Op::TupleDestroy {
+        input: Box::new(Op::SemiJoin {
+            left: Box::new(side("root1", "customer", "C", "id", "CID")),
+            right: Box::new(side("root2", "order", "O", "cid", "OCID")),
+            cond: Some(Cond::cmp_vars("CID", CmpOp::Eq, "OCID")),
+            keep: Side::Left,
+        }),
+        var: "C".into(),
+        root: Some("res".into()),
+    });
+    validate(&plan).unwrap();
+    let mut semi = Vec::new();
+    for hash_joins in [true, false] {
+        let mut ctx = EvalContext::new(catalog.clone(), AccessMode::Lazy);
+        ctx.hash_joins = hash_joins;
+        let ctx = Arc::new(ctx);
+        let v = VirtualResult::new(&plan, Arc::clone(&ctx)).unwrap();
+        let mut kids = 0;
+        let mut cur = v.first_child(v.root());
+        while let Some(c) = cur {
+            kids += 1;
+            cur = v.next_sibling(c);
+        }
+        assert_eq!(kids, n, "every customer has orders");
+        let stats = ctx.stats();
+        semi.push((
+            stats.get(Counter::JoinProbes),
+            stats.get(Counter::HashBuilds),
+            stats.get(Counter::NlFallbacks),
+        ));
+    }
+    assert_eq!(semi[0], (30, 1, 0), "hash semi-join");
+    assert_eq!(semi[1], (1335, 0, 1), "nl semi-join");
 }
 
 /// The join kernels are lazy on their outer input: when the outer side
