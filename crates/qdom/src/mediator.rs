@@ -258,7 +258,7 @@ impl Mediator {
         }
         let (optimized, physical) = if self.options.optimize {
             let out = mix_rewrite::optimize(&plan, &self.catalog);
-            (mix_rewrite::rewrite(&plan).plan, out.plan)
+            (out.logical, out.plan)
         } else {
             (plan.clone(), plan.clone())
         };

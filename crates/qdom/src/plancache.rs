@@ -124,7 +124,8 @@ pub(crate) struct CachedPlan {
     /// The pre-optimization (spliced) plan — what `explain` shows as
     /// the logical plan; re-instantiated like the other two.
     naive: Plan,
-    trace: RewriteTrace,
+    /// Shared with every result instantiated from this template.
+    trace: Arc<RewriteTrace>,
     slots: Vec<Oid>,
 }
 
@@ -135,12 +136,12 @@ fn instantiate(
     cached: &CachedPlan,
     new_slots: &[Oid],
     result_name: &str,
-) -> Option<(Plan, Plan, Plan, RewriteTrace)> {
+) -> Option<(Plan, Plan, Plan, Arc<RewriteTrace>)> {
     let (omap, vmap) = substitution(&cached.slots, new_slots)?;
     let exec = rename_root(&subst_plan(&cached.exec, &omap, &vmap), result_name);
     let logical = rename_root(&subst_plan(&cached.logical, &omap, &vmap), result_name);
     let naive = rename_root(&subst_plan(&cached.naive, &omap, &vmap), result_name);
-    Some((exec, logical, naive, cached.trace.clone()))
+    Some((exec, logical, naive, Arc::clone(&cached.trace)))
 }
 
 /// Build a template from a freshly decontextualized plan pair, or
@@ -152,7 +153,7 @@ fn make_template(
     exec: &Plan,
     logical: &Plan,
     naive: &Plan,
-    trace: &RewriteTrace,
+    trace: &Arc<RewriteTrace>,
     query_plan: &Plan,
     view_plan: &Plan,
 ) -> Option<CachedPlan> {
@@ -163,7 +164,7 @@ fn make_template(
         exec: exec.clone(),
         logical: logical.clone(),
         naive: naive.clone(),
-        trace: trace.clone(),
+        trace: Arc::clone(trace),
         slots,
     })
 }
@@ -197,7 +198,7 @@ impl PlanCache {
         key: &CacheKey,
         new_slots: &[Oid],
         result_name: &str,
-    ) -> Option<(Plan, Plan, Plan, RewriteTrace)> {
+    ) -> Option<(Plan, Plan, Plan, Arc<RewriteTrace>)> {
         let pos = self.entries.iter().position(|(k, _)| k == key)?;
         let out = instantiate(&self.entries[pos].1, new_slots, result_name)?;
         // LRU bump (a hit is a hit either way).
@@ -216,7 +217,7 @@ impl PlanCache {
         exec: &Plan,
         logical: &Plan,
         naive: &Plan,
-        trace: &RewriteTrace,
+        trace: &Arc<RewriteTrace>,
         query_plan: &Plan,
         view_plan: &Plan,
     ) {
@@ -295,7 +296,7 @@ impl SharedPlanCache {
         key: &CacheKey,
         new_slots: &[Oid],
         result_name: &str,
-    ) -> Option<(Plan, Plan, Plan, RewriteTrace)> {
+    ) -> Option<(Plan, Plan, Plan, Arc<RewriteTrace>)> {
         let cached = self.inner.get(key)?;
         instantiate(&cached, new_slots, result_name)
     }
@@ -309,7 +310,7 @@ impl SharedPlanCache {
         exec: &Plan,
         logical: &Plan,
         naive: &Plan,
-        trace: &RewriteTrace,
+        trace: &Arc<RewriteTrace>,
         query_plan: &Plan,
         view_plan: &Plan,
     ) {
@@ -569,7 +570,7 @@ mod tests {
                 &empty_plan(),
                 &empty_plan(),
                 &empty_plan(),
-                &RewriteTrace::default(),
+                &Arc::default(),
                 &empty_plan(),
                 &empty_plan(),
             );
@@ -607,7 +608,7 @@ mod tests {
             &empty_plan(),
             &empty_plan(),
             &empty_plan(),
-            &RewriteTrace::default(),
+            &Arc::default(),
             &empty_plan(),
             &empty_plan(),
         );

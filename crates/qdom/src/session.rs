@@ -10,7 +10,7 @@ use mix_common::{Counter, MixError, Name, Result, Value};
 use mix_engine::{eager, render_annotated, AccessMode, EvalContext, NodeContext, VirtualResult};
 use mix_obs::ExecProfile;
 use mix_proto::{Command, Reply, WireNode};
-use mix_rewrite::{optimize, rewrite, RewriteTrace};
+use mix_rewrite::{optimize, RewriteTrace};
 use mix_xml::{Document, NavDoc, NodeRef, Oid};
 use mix_xquery::parse_query;
 use std::sync::Arc;
@@ -40,8 +40,10 @@ pub struct ResultInfo {
     /// rewriting — what [`QdomSession::explain`] shows as the logical
     /// plan.
     pub naive_plan: Plan,
-    /// The rewrite derivation (empty when optimization is off).
-    pub trace: RewriteTrace,
+    /// The rewrite derivation (empty when optimization is off). One
+    /// derivation is shared by a plan-cache template and every result
+    /// instantiated from it.
+    pub trace: Arc<RewriteTrace>,
     /// Per-operator execution metrics over `exec_plan` — filled up
     /// front by an eager run, incrementally by navigation in a lazy
     /// one.
@@ -360,9 +362,9 @@ impl<'m> QdomSession<'m> {
         let naive = plan.clone();
         let (exec, logical, trace) = if self.med().options().optimize {
             let out = optimize(&plan, self.med().catalog());
-            (out.plan, rewrite(&plan).plan, out.trace)
+            (out.plan, out.logical, Arc::new(out.trace))
         } else {
-            (plan.clone(), plan, RewriteTrace::default())
+            (plan.clone(), plan, Arc::default())
         };
         if let Some((key, slots)) = cache_key {
             let view = &self.results[p.result].logical_plan;
@@ -405,9 +407,7 @@ impl<'m> QdomSession<'m> {
             let out = optimize(&plan, self.med().catalog());
             // The logical plan for later composition is the rewritten,
             // pre-split plan.
-            let logical = rewrite(&plan).plan;
-            let naive = plan;
-            self.push_result(out.plan, logical, naive, out.trace)
+            self.push_result(out.plan, out.logical, plan, Arc::new(out.trace))
         } else {
             self.execute_unoptimized(plan)
         }
@@ -416,7 +416,7 @@ impl<'m> QdomSession<'m> {
     fn execute_unoptimized(&mut self, plan: Plan) -> Result<QNode> {
         let logical = plan.clone();
         let naive = plan.clone();
-        self.push_result(plan, logical, naive, RewriteTrace::default())
+        self.push_result(plan, logical, naive, Arc::default())
     }
 
     fn push_result(
@@ -424,7 +424,7 @@ impl<'m> QdomSession<'m> {
         exec_plan: Plan,
         logical_plan: Plan,
         naive_plan: Plan,
-        trace: RewriteTrace,
+        trace: Arc<RewriteTrace>,
     ) -> Result<QNode> {
         mix_algebra::validate(&exec_plan)?;
         let (doc, profile) = match self.ctx.mode() {

@@ -1,45 +1,115 @@
 //! The rewrite driver: applies local rules and global passes to a
-//! fixpoint, recording a replayable trace (the Figs. 13→22 derivation).
+//! fixpoint. A firing replaces the first (pre-order) rule match in
+//! place, along its child path, so it costs the subtree it touches.
+//! The derivation (the Figs. 13→22 trace) is kept as data — the plan
+//! the rewrite started from plus, per step, the rule and the place it
+//! fired — and is replayed into rendered plans only on request.
 
 use crate::passes::{dead_elimination, join_to_semijoin};
 use crate::rules::{try_rules, Applied, RuleCtx};
-use crate::util::{children, use_counts, with_child};
-use mix_algebra::plan::{all_vars, rename_var};
+use crate::split::{schema_prune, split_plan};
+use crate::util::{child_mut, children};
+use mix_algebra::plan::rename_var;
 use mix_algebra::{Op, Plan};
+use mix_common::Name;
 use mix_wrapper::Catalog;
 
 /// One recorded rewrite step.
 #[derive(Debug, Clone)]
 pub struct TraceStep {
     /// The rule or pass that fired.
-    pub rule: String,
-    /// The whole plan after the step (paper-figure rendering).
-    pub plan: String,
+    pub rule: &'static str,
+    edit: Edit,
 }
 
-/// The full derivation.
-#[derive(Debug, Clone, Default)]
+/// What one step did to the plan before it. Rules and passes are pure
+/// functions of the plan, so replaying a step re-runs them; only the
+/// catalog-dependent steps keep their output.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// The local rule fired at the subtree at this child path
+    /// ([`children`] order, from the root).
+    Rule(Vec<usize>),
+    /// The whole-plan pass fired.
+    Pass(Pass),
+    /// Schema pruning or the split produced this plan.
+    Whole(Plan),
+}
+
+/// A whole-plan pass: rewrites the plan in place, `false` when it does
+/// not apply.
+type Pass = fn(&mut Plan) -> bool;
+
+impl TraceStep {
+    fn apply(&self, plan: &mut Plan) {
+        match &self.edit {
+            Edit::Rule(path) => {
+                let Applied { op, renames, .. } = {
+                    let ctx = RuleCtx::only(&plan.root, self.rule);
+                    try_rules(subtree(&plan.root, path), &ctx)
+                        .expect("a recorded rule fires again where it fired")
+                };
+                replace(&mut plan.root, path, op, &renames);
+            }
+            Edit::Pass(pass) => assert!(pass(plan), "a recorded pass fires again"),
+            Edit::Whole(p) => *plan = p.clone(),
+        }
+    }
+}
+
+/// The full derivation: the plan it started from and one edit per
+/// step. Rendering replays the edits.
+#[derive(Debug, Clone)]
 pub struct RewriteTrace {
+    start: Plan,
     pub steps: Vec<TraceStep>,
 }
 
+impl Default for RewriteTrace {
+    fn default() -> RewriteTrace {
+        RewriteTrace::new(Plan::new(Op::Empty { vars: Vec::new() }))
+    }
+}
+
 impl RewriteTrace {
+    fn new(start: Plan) -> RewriteTrace {
+        RewriteTrace {
+            start,
+            steps: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, rule: &'static str, edit: Edit) {
+        self.steps.push(TraceStep { rule, edit });
+    }
+
     /// Names of the rules applied, in order.
     pub fn rule_sequence(&self) -> Vec<&str> {
-        self.steps.iter().map(|s| s.rule.as_str()).collect()
+        self.steps.iter().map(|s| s.rule).collect()
+    }
+
+    /// Replay the derivation: `visit` sees each step with the whole
+    /// plan after it.
+    fn replay(&self, mut visit: impl FnMut(&TraceStep, &Plan)) {
+        let mut plan = self.start.clone();
+        for step in &self.steps {
+            step.apply(&mut plan);
+            visit(step, &plan);
+        }
     }
 
     /// Render the whole derivation (one figure per step).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (i, s) in self.steps.iter().enumerate() {
+        let mut n = 0;
+        self.replay(|step, plan| {
+            n += 1;
             out.push_str(&format!(
-                "--- step {} ({}) ---\n{}\n",
-                i + 1,
-                s.rule,
-                s.plan
+                "--- step {n} ({}) ---\n{}\n",
+                step.rule,
+                plan.render()
             ));
-        }
+        });
         out
     }
 }
@@ -48,6 +118,20 @@ impl RewriteTrace {
 #[derive(Debug, Clone)]
 pub struct RewriteOutcome {
     pub plan: Plan,
+    pub trace: RewriteTrace,
+}
+
+/// What [`optimize`] compiles a plan to.
+#[derive(Debug, Clone)]
+pub struct Optimized {
+    /// The executable plan: rewritten, schema-pruned and split into
+    /// `rQ` fragments.
+    pub plan: Plan,
+    /// The first rewrite's fixpoint, before schema pruning and the
+    /// split (exactly [`rewrite`]'s plan): what composition and
+    /// decontextualization splice from.
+    pub logical: Plan,
+    /// The whole derivation, the pruning and the split included.
     pub trace: RewriteTrace,
 }
 
@@ -65,114 +149,135 @@ pub fn rewrite(plan: &Plan) -> RewriteOutcome {
 /// [`rewrite`] with the named rules disabled — the hook the ablation
 /// experiments (E8) use to measure what a rule buys.
 pub fn rewrite_with_disabled(plan: &Plan, disabled: &[&str]) -> RewriteOutcome {
-    let mut plan = plan.clone();
-    let mut trace = RewriteTrace::default();
-    for _ in 0..MAX_STEPS {
-        // Plan-level ⊥: a tD over the empty plan stays a tD over the
-        // canonical empty — the tD is what carries the result-root
-        // document name, and dropping it would re-root the (empty)
-        // answer under a default name, diverging from the naive plan.
-        if let Op::TupleDestroy { input, var, root } = &plan.root {
-            if let Op::Empty { vars } = &**input {
-                if vars.as_slice() != std::slice::from_ref(var) {
-                    plan = Plan::new(Op::TupleDestroy {
-                        input: Box::new(Op::Empty {
-                            vars: vec![var.clone()],
-                        }),
-                        var: var.clone(),
-                        root: root.clone(),
-                    });
-                    trace.steps.push(TraceStep {
-                        rule: "empty-propagation".into(),
-                        plan: plan.render(),
-                    });
-                    continue;
-                }
-            }
+    let mut trace = RewriteTrace::new(plan.clone());
+    let plan = run(plan.clone(), disabled, &mut trace);
+    RewriteOutcome { plan, trace }
+}
+
+/// Rewrite `plan` to a fixpoint, appending each step to `trace`.
+fn run(mut plan: Plan, disabled: &[&str], trace: &mut RewriteTrace) -> Plan {
+    'steps: for _ in 0..MAX_STEPS {
+        if empty_root(&mut plan) {
+            trace.push("empty-propagation", Edit::Pass(empty_root));
+            continue;
         }
-        let counts = use_counts(&plan.root);
-        let vars = all_vars(&plan.root);
-        let ctx = RuleCtx {
-            use_counts: &counts,
-            all_vars: &vars,
-            disabled,
+        let found = {
+            let ctx = RuleCtx::new(&plan.root, disabled);
+            let mut path = Vec::new();
+            first_match(&plan.root, &ctx, &mut path).map(|a| (path, a))
         };
-        if let Some(applied) = rewrite_first(&plan.root, &ctx) {
-            let mut root = applied.op;
-            for (from, to) in &applied.renames {
-                root = rename_var(&root, from, to);
+        if let Some((path, Applied { rule, op, renames })) = found {
+            replace(&mut plan.root, &path, op, &renames);
+            trace.push(rule, Edit::Rule(path));
+            continue;
+        }
+        for (rule, pass) in PASSES {
+            if pass(&mut plan) {
+                trace.push(rule, Edit::Pass(pass));
+                continue 'steps;
             }
-            plan = Plan::new(root);
-            trace.steps.push(TraceStep {
-                rule: applied.rule.to_string(),
-                plan: plan.render(),
-            });
-            continue;
-        }
-        if let Some(p2) = dead_elimination(&plan) {
-            plan = p2;
-            trace.steps.push(TraceStep {
-                rule: "dead-elimination".into(),
-                plan: plan.render(),
-            });
-            continue;
-        }
-        if let Some(p2) = join_to_semijoin(&plan) {
-            plan = p2;
-            trace.steps.push(TraceStep {
-                rule: "join-to-semijoin".into(),
-                plan: plan.render(),
-            });
-            continue;
         }
         break;
     }
-    RewriteOutcome { plan, trace }
+    plan
+}
+
+/// The whole-plan passes, tried in order once no local rule matches.
+const PASSES: [(&str, Pass); 2] = [
+    ("dead-elimination", |plan| {
+        set_if(plan, dead_elimination(plan))
+    }),
+    ("join-to-semijoin", |plan| {
+        set_if(plan, join_to_semijoin(plan))
+    }),
+];
+
+fn set_if(plan: &mut Plan, new: Option<Plan>) -> bool {
+    new.map(|p| *plan = p).is_some()
+}
+
+/// Plan-level ⊥: a tD over the empty plan stays a tD over the
+/// canonical empty — the tD is what carries the result-root document
+/// name, and dropping it would re-root the (empty) answer under a
+/// default name, diverging from the naive plan.
+fn empty_root(plan: &mut Plan) -> bool {
+    if let Op::TupleDestroy { input, var, .. } = &mut plan.root {
+        if let Op::Empty { vars } = &mut **input {
+            if vars.as_slice() != std::slice::from_ref(var) {
+                *vars = vec![var.clone()];
+                return true;
+            }
+        }
+    }
+    false
 }
 
 /// Rewrite + split: the full composition-optimization pipeline
 /// (Section 6), ending with the maximal relational fragments pushed
-/// into `rQ` operators (Fig. 22).
-pub fn optimize(plan: &Plan, catalog: &Catalog) -> RewriteOutcome {
-    let mut out = rewrite(plan);
+/// into `rQ` operators (Fig. 22). The rewrite runs once; its fixpoint
+/// is also returned as the logical plan.
+pub fn optimize(plan: &Plan, catalog: &Catalog) -> Optimized {
+    let RewriteOutcome {
+        plan: logical,
+        mut trace,
+    } = rewrite(plan);
     // Schema-aware pruning (the paper's suggested source-schema rules):
     // may expose further simplification, so interleave with rewriting.
-    while let Some(pruned) = crate::split::schema_prune(&out.plan, catalog) {
-        out.trace.steps.push(TraceStep {
-            rule: "schema-prune".into(),
-            plan: pruned.render(),
-        });
-        let again = rewrite(&pruned);
-        out.trace.steps.extend(again.trace.steps);
-        out.plan = again.plan;
+    let mut pruned: Option<Plan> = None;
+    while let Some(p) = schema_prune(pruned.as_ref().unwrap_or(&logical), catalog) {
+        trace.push("schema-prune", Edit::Whole(p.clone()));
+        pruned = Some(run(p, &[], &mut trace));
     }
-    let split = crate::split::split_plan(&out.plan, catalog);
-    if split != out.plan {
-        out.trace.steps.push(TraceStep {
-            rule: "split-to-sql".into(),
-            plan: split.render(),
-        });
-        out.plan = split;
+    let pre_split = pruned.as_ref().unwrap_or(&logical);
+    let split = split_plan(pre_split, catalog);
+    let plan = if split != *pre_split {
+        trace.push("split-to-sql", Edit::Whole(split.clone()));
+        split
+    } else {
+        pruned.unwrap_or_else(|| logical.clone())
+    };
+    Optimized {
+        plan,
+        logical,
+        trace,
     }
-    out
 }
 
-/// Find and apply the first (pre-order) rule match in the subtree.
-fn rewrite_first(op: &Op, ctx: &RuleCtx) -> Option<Applied> {
+/// Find the first (pre-order) rule match in the subtree, recording the
+/// child path that leads to it.
+fn first_match(op: &Op, ctx: &RuleCtx, path: &mut Vec<usize>) -> Option<Applied> {
     if let Some(a) = try_rules(op, ctx) {
         return Some(a);
     }
-    let kids = children(op);
-    for (i, kid) in kids.iter().enumerate() {
-        if let Some(a) = rewrite_first(kid, ctx) {
-            return Some(Applied {
-                rule: a.rule,
-                op: with_child(op, i, a.op),
-                renames: a.renames,
-            });
+    for (i, kid) in children(op).into_iter().enumerate() {
+        path.push(i);
+        if let Some(a) = first_match(kid, ctx, path) {
+            return Some(a);
         }
+        path.pop();
     }
     None
+}
+
+/// The subtree at `path` (child indexes in [`children`] order).
+fn subtree<'a>(mut op: &'a Op, path: &[usize]) -> &'a Op {
+    for &i in path {
+        op = children(op)[i];
+    }
+    op
+}
+
+/// Put a rule's output at `path`, then apply its aliasing renames
+/// throughout the plan.
+fn replace(root: &mut Op, path: &[usize], new: Op, renames: &[(Name, Name)]) {
+    let mut slot = &mut *root;
+    for &i in path {
+        slot = child_mut(slot, i);
+    }
+    *slot = new;
+    for (from, to) in renames {
+        *root = rename_var(root, from, to);
+    }
 }
 
 #[cfg(test)]
@@ -209,7 +314,7 @@ mod tests {
                     let kids = crate::util::children(other);
                     let mut out = other.clone();
                     for (i, k) in kids.iter().enumerate() {
-                        out = crate::util::with_child(&out, i, splice(k, view));
+                        *crate::util::child_mut(&mut out, i) = splice(k, view);
                     }
                     out
                 }
@@ -275,6 +380,31 @@ mod tests {
     }
 
     #[test]
+    fn replay_reproduces_every_derivation() {
+        // Ablations included: a step replays with only its own rule
+        // enabled, whatever was disabled when it fired.
+        let naive = fig13_plan();
+        let ablations: [&[&str]; 4] = [
+            &[],
+            &["R12-semijoin-below-group"],
+            &["R9-join-introduction"],
+            &["select-pushdown", "getd-pushdown"],
+        ];
+        for disabled in ablations {
+            let out = rewrite_with_disabled(&naive, disabled);
+            let mut replayed = Vec::new();
+            out.trace
+                .replay(|step, plan| replayed.push((step.rule, plan.clone())));
+            assert_eq!(replayed.len(), out.trace.steps.len(), "{disabled:?}");
+            assert_eq!(
+                replayed.last().map(|r| &r.1),
+                Some(&out.plan),
+                "{disabled:?}"
+            );
+        }
+    }
+
+    #[test]
     fn rewrite_is_idempotent_at_fixpoint() {
         let naive = fig13_plan();
         let once = rewrite(&naive);
@@ -304,7 +434,7 @@ mod tests {
                         let kids = crate::util::children(other);
                         let mut out = other.clone();
                         for (i, k) in kids.iter().enumerate() {
-                            out = crate::util::with_child(&out, i, splice(k, view));
+                            *crate::util::child_mut(&mut out, i) = splice(k, view);
                         }
                         out
                     }

@@ -13,12 +13,18 @@
 //! * runs the prose's global steps: selection pushdown, live-variable
 //!   analysis with dead-operator elimination, and join→semijoin
 //!   conversion (Fig. 19→20);
-//! * records every step in a [`RewriteTrace`] so the paper's Fig. 13→22
-//!   derivation can be replayed;
+//! * replaces each rule match in place, so a firing costs the subtree
+//!   it touches, not the whole plan;
+//! * keeps every step in a [`RewriteTrace`] as data — the starting plan
+//!   plus one edit per step — so the paper's Fig. 13→22 derivation can
+//!   be replayed and rendered on request, and costs nothing to render
+//!   when nobody asks;
 //! * finally [`split`]s the plan: the maximal relational fragment
 //!   becomes one `rQ` operator carrying generated SQL (Fig. 22), with
 //!   an `ORDER BY` on the group-by key columns so the mediator can run
-//!   the *stateless* presorted `gBy`.
+//!   the *stateless* presorted `gBy`. [`optimize`] runs the rewrite
+//!   once and hands back its fixpoint, the pre-split logical plan,
+//!   beside the split one.
 
 pub mod driver;
 pub mod passes;
@@ -28,7 +34,7 @@ pub mod split;
 pub mod util;
 
 pub use driver::{
-    optimize, rewrite, rewrite_with_disabled, RewriteOutcome, RewriteTrace, TraceStep,
+    optimize, rewrite, rewrite_with_disabled, Optimized, RewriteOutcome, RewriteTrace, TraceStep,
 };
 pub use sortedness::key_contiguous;
 pub use split::{schema_prune, split_plan};

@@ -2,10 +2,15 @@
 //! elimination, and join→semijoin conversion (Section 6 prose,
 //! Fig. 19→20).
 
-use crate::util::{bound_vars, children, referenced_vars, with_child};
+use crate::util::{bound_vars, child_mut, children, map_in_place, referenced_vars};
 use mix_algebra::{Op, Plan, Side};
 use mix_common::Name;
 use std::collections::HashSet;
+
+// Both passes walk an owned copy of the plan top-down, moving every
+// subtree into its new parent rather than copying it. The variables
+// needed above an operator are a stack: an operator pushes what it
+// references before visiting its children and pops it after.
 
 /// Remove operators that only bind dead variables: `getD`, `crElt`,
 /// `cat` and `apply` whose output no operator above references.
@@ -19,75 +24,63 @@ use std::collections::HashSet;
 /// Returns `None` when nothing changed.
 pub fn dead_elimination(plan: &Plan) -> Option<Plan> {
     let mut changed = false;
-    let root_needed: HashSet<Name> = match &plan.root {
-        Op::TupleDestroy { var, .. } => [var.clone()].into(),
-        _ => HashSet::new(),
-    };
-    let new_root = go(&plan.root, &root_needed, &mut changed);
-    if changed {
-        Some(Plan::new(new_root))
-    } else {
-        None
+    let new_root = go(plan.root.clone(), &mut td_needed(&plan.root), &mut changed);
+    changed.then(|| Plan::new(new_root))
+}
+
+/// What a `tD`-rooted (sub)plan needs: its exported variable.
+fn td_needed(op: &Op) -> Vec<Name> {
+    match op {
+        Op::TupleDestroy { var, .. } => vec![var.clone()],
+        _ => Vec::new(),
     }
 }
 
-fn go(op: &Op, needed: &HashSet<Name>, changed: &mut bool) -> Op {
+fn go(mut op: Op, needed: &mut Vec<Name>, changed: &mut bool) -> Op {
     // Drop this operator entirely?
-    let dead_out = |out: &Name| !needed.contains(out);
-    match op {
-        Op::GetD { input, to, .. } if dead_out(to) => {
-            *changed = true;
-            return go(input, needed, changed);
-        }
-        Op::CrElt { input, out, .. }
-        | Op::Cat { input, out, .. }
-        | Op::Apply { input, out, .. }
-            if dead_out(out) =>
-        {
-            *changed = true;
-            return go(input, needed, changed);
-        }
-        _ => {}
+    let dead = match &op {
+        Op::GetD { to: out, .. }
+        | Op::CrElt { out, .. }
+        | Op::Cat { out, .. }
+        | Op::Apply { out, .. } => !needed.contains(out),
+        _ => false,
+    };
+    if dead {
+        *changed = true;
+        let input = std::mem::replace(child_mut(&mut op, 0), Op::Empty { vars: Vec::new() });
+        return go(input, needed, changed);
     }
     // Recurse: children need what we need plus what this op references.
-    let mut sub_needed = needed.clone();
-    sub_needed.extend(referenced_vars(op));
-    let mut out = op.clone();
-    match op {
+    let mark = needed.len();
+    needed.extend(referenced_vars(&op));
+    match &mut op {
         Op::Apply { input, plan, .. } => {
             // Everything a nested plan reads may come from the group
             // partition, i.e. from the outer input's tuples.
-            sub_needed.extend(deep_refs(plan));
-            out = with_child(&out, 0, go(input, &sub_needed, changed));
+            needed.extend(deep_refs(plan));
+            map_in_place(input, |i| go(i, needed, changed));
             // The nested plan needs its own tD variable (and whatever it
             // references internally).
-            let nested_needed: HashSet<Name> = match &**plan {
-                Op::TupleDestroy { var, .. } => [var.clone()].into(),
-                _ => HashSet::new(),
-            };
-            out = with_child(&out, 1, go(plan, &nested_needed, changed));
+            let mut nested = td_needed(plan);
+            map_in_place(plan, |p| go(p, &mut nested, changed));
         }
         Op::MkSrcOver { input, .. } => {
             // The inline view plan has its own tD-rooted liveness.
-            let inner_needed: HashSet<Name> = match &**input {
-                Op::TupleDestroy { var, .. } => [var.clone()].into(),
-                _ => HashSet::new(),
-            };
-            out = with_child(&out, 0, go(input, &inner_needed, changed));
+            let mut inner = td_needed(input);
+            map_in_place(input, |i| go(i, &mut inner, changed));
         }
         Op::TupleDestroy { input, var, .. } => {
-            let mut n: HashSet<Name> = [var.clone()].into();
-            n.extend(referenced_vars(op));
-            out = with_child(&out, 0, go(input, &n, changed));
+            let mut n = vec![var.clone()];
+            map_in_place(input, |i| go(i, &mut n, changed));
         }
         _ => {
-            let kids = children(op);
-            for (i, k) in kids.iter().enumerate() {
-                out = with_child(&out, i, go(k, &sub_needed, changed));
+            for i in 0..children(&op).len() {
+                map_in_place(child_mut(&mut op, i), |k| go(k, needed, changed));
             }
         }
     }
-    out
+    needed.truncate(mark);
+    op
 }
 
 /// Every variable referenced anywhere in a subtree (used to treat a
@@ -106,71 +99,58 @@ fn deep_refs(op: &Op) -> HashSet<Name> {
 /// into a semi-join").
 pub fn join_to_semijoin(plan: &Plan) -> Option<Plan> {
     let mut changed = false;
-    let root_needed: HashSet<Name> = match &plan.root {
-        Op::TupleDestroy { var, .. } => [var.clone()].into(),
-        _ => HashSet::new(),
-    };
-    let new_root = go_semijoin(&plan.root, &root_needed, &mut changed);
-    if changed {
-        Some(Plan::new(new_root))
-    } else {
-        None
-    }
+    let new_root = go_semijoin(plan.root.clone(), &mut td_needed(&plan.root), &mut changed);
+    changed.then(|| Plan::new(new_root))
 }
 
-fn go_semijoin(op: &Op, needed: &HashSet<Name>, changed: &mut bool) -> Op {
+fn go_semijoin(mut op: Op, needed: &mut Vec<Name>, changed: &mut bool) -> Op {
     if let Op::Join { left, right, cond } = op {
         // The join condition itself is evaluated by the semijoin, so
         // only variables needed *above* count.
-        let lb: HashSet<Name> = bound_vars(left).into_iter().collect();
-        let rb: HashSet<Name> = bound_vars(right).into_iter().collect();
-        if needed.iter().all(|v| !rb.contains(v)) {
-            *changed = true;
-            let new = Op::SemiJoin {
-                left: left.clone(),
-                right: right.clone(),
-                cond: cond.clone(),
-                keep: Side::Left,
-            };
-            return go_semijoin(&new, needed, changed);
-        }
-        if needed.iter().all(|v| !lb.contains(v)) {
-            *changed = true;
-            let new = Op::SemiJoin {
-                left: left.clone(),
-                right: right.clone(),
-                cond: cond.clone(),
-                keep: Side::Right,
-            };
-            return go_semijoin(&new, needed, changed);
-        }
+        let lb: HashSet<Name> = bound_vars(&left).into_iter().collect();
+        let rb: HashSet<Name> = bound_vars(&right).into_iter().collect();
+        let keep = if needed.iter().all(|v| !rb.contains(v)) {
+            Some(Side::Left)
+        } else if needed.iter().all(|v| !lb.contains(v)) {
+            Some(Side::Right)
+        } else {
+            None
+        };
+        op = match keep {
+            Some(keep) => {
+                *changed = true;
+                let new = Op::SemiJoin {
+                    left,
+                    right,
+                    cond,
+                    keep,
+                };
+                return go_semijoin(new, needed, changed);
+            }
+            None => Op::Join { left, right, cond },
+        };
     }
-    let mut sub_needed = needed.clone();
-    sub_needed.extend(referenced_vars(op));
-    let mut out = op.clone();
-    match op {
+    let mark = needed.len();
+    needed.extend(referenced_vars(&op));
+    match &mut op {
         Op::Apply { input, plan, .. } => {
-            sub_needed.extend(deep_refs(plan));
-            out = with_child(&out, 0, go_semijoin(input, &sub_needed, changed));
-            let nested_needed: HashSet<Name> = match &**plan {
-                Op::TupleDestroy { var, .. } => [var.clone()].into(),
-                _ => HashSet::new(),
-            };
-            out = with_child(&out, 1, go_semijoin(plan, &nested_needed, changed));
+            needed.extend(deep_refs(plan));
+            map_in_place(input, |i| go_semijoin(i, needed, changed));
+            let mut nested = td_needed(plan);
+            map_in_place(plan, |p| go_semijoin(p, &mut nested, changed));
         }
         Op::TupleDestroy { input, var, .. } => {
-            let mut n: HashSet<Name> = [var.clone()].into();
-            n.extend(referenced_vars(op));
-            out = with_child(&out, 0, go_semijoin(input, &n, changed));
+            let mut n = vec![var.clone()];
+            map_in_place(input, |i| go_semijoin(i, &mut n, changed));
         }
         _ => {
-            let kids = children(op);
-            for (i, k) in kids.iter().enumerate() {
-                out = with_child(&out, i, go_semijoin(k, &sub_needed, changed));
+            for i in 0..children(&op).len() {
+                map_in_place(child_mut(&mut op, i), |k| go_semijoin(k, needed, changed));
             }
         }
     }
-    out
+    needed.truncate(mark);
+    op
 }
 
 #[cfg(test)]

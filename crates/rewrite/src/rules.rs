@@ -6,21 +6,78 @@
 //! whole plan). Rule numbering follows DESIGN.md's reconstruction of
 //! the paper's Table 2.
 
-use crate::util::{bound_vars, list_elem_label, step_matches_guess, var_label, Match3};
-use mix_algebra::plan::{fresh_var, rename_var};
+use crate::util::{
+    bound_vars, list_elem_label, step_matches_guess, use_counts, var_label, wrap_child, Match3,
+};
+use mix_algebra::plan::{all_vars, fresh_var, rename_var};
 use mix_algebra::{ChildSpec, Cond, Op, Side};
 use mix_common::Name;
 use mix_xml::Step;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
-/// Context the rules may consult.
+/// Context the rules may consult: the whole plan the matched subtree
+/// belongs to. What the rules read of it (variable reference counts,
+/// the names in use) is derived only when a rule reaches the check
+/// that reads it, and at most once per context.
 pub struct RuleCtx<'a> {
-    /// Reference counts of every variable in the whole plan.
-    pub use_counts: &'a HashMap<Name, usize>,
+    root: &'a Op,
+    enabled: Enabled<'a>,
+    use_counts: OnceCell<HashMap<Name, usize>>,
+    all_vars: OnceCell<Vec<Name>>,
+}
+
+/// Which rules may fire.
+enum Enabled<'a> {
+    /// All but these (ablation experiments disable rules by name).
+    AllBut(&'a [&'a str]),
+    /// Only this one (replaying a recorded step).
+    Only(&'a str),
+}
+
+impl<'a> RuleCtx<'a> {
+    /// A context over the whole plan `root`, with the named rules
+    /// disabled.
+    pub fn new(root: &'a Op, disabled: &'a [&'a str]) -> RuleCtx<'a> {
+        RuleCtx::with(root, Enabled::AllBut(disabled))
+    }
+
+    /// A context over the whole plan `root` in which only `rule` may
+    /// fire. Rules are pure functions of the subtree and the whole
+    /// plan, so at a recorded step's place this reproduces the step:
+    /// the rules tried before it either did not match there or were
+    /// disabled, and a rule of the same name tried before it would
+    /// have fired instead.
+    pub(crate) fn only(root: &'a Op, rule: &'a str) -> RuleCtx<'a> {
+        RuleCtx::with(root, Enabled::Only(rule))
+    }
+
+    fn with(root: &'a Op, enabled: Enabled<'a>) -> RuleCtx<'a> {
+        RuleCtx {
+            root,
+            enabled,
+            use_counts: OnceCell::new(),
+            all_vars: OnceCell::new(),
+        }
+    }
+
+    fn enabled(&self, rule: &str) -> bool {
+        match self.enabled {
+            Enabled::AllBut(disabled) => !disabled.contains(&rule),
+            Enabled::Only(only) => only == rule,
+        }
+    }
+
+    /// How many times the whole plan references `var`.
+    pub fn use_count(&self, var: &Name) -> usize {
+        let counts = self.use_counts.get_or_init(|| use_counts(self.root));
+        counts.get(var).copied().unwrap_or(0)
+    }
+
     /// Every variable name present in the whole plan (for freshness).
-    pub all_vars: &'a [Name],
-    /// Rule names disabled for this run (ablation experiments).
-    pub disabled: &'a [&'a str],
+    pub fn all_vars(&self) -> &[Name] {
+        self.all_vars.get_or_init(|| all_vars(self.root))
+    }
 }
 
 /// A successful rule application.
@@ -32,9 +89,9 @@ pub struct Applied {
 }
 
 /// Try every rule at this node (not recursing); first match wins.
-/// Rules whose name appears in `ctx.disabled` are skipped (ablation).
+/// Rules the context does not enable are skipped.
 pub fn try_rules(op: &Op, ctx: &RuleCtx) -> Option<Applied> {
-    let keep = |a: Option<Applied>| a.filter(|x| !ctx.disabled.contains(&x.rule));
+    let keep = |a: Option<Applied>| a.filter(|x| ctx.enabled(x.rule));
     keep(empty_propagation(op))
         .or_else(|| keep(r11_td_mksrc(op)))
         .or_else(|| keep(getd_over_crelt(op)))
@@ -283,7 +340,7 @@ fn r10_chain_merge(op: &Op, ctx: &RuleCtx) -> Option<Applied> {
     else {
         return None;
     };
-    if from != b || ctx.use_counts.get(b).copied().unwrap_or(0) != 1 {
+    if from != b || ctx.use_count(b) != 1 {
         return None;
     }
     let joined = p.join(q)?;
@@ -362,7 +419,7 @@ fn r9_join_introduction(op: &Op, ctx: &RuleCtx) -> Option<Applied> {
     let q = path.rest()?;
     // Fresh-rename a copy of the pre-grouping subplan.
     let mut copy = (**p1).clone();
-    let mut taken: Vec<Name> = ctx.all_vars.to_vec();
+    let mut taken: Vec<Name> = ctx.all_vars().to_vec();
     let mut copy_of: HashMap<Name, Name> = HashMap::new();
     for v in bound_vars(p1) {
         if copy_of.contains_key(&v) {
@@ -451,59 +508,47 @@ fn r12_semijoin_below(op: &Op) -> Option<Applied> {
         Side::Left => (right, left, Side::Left),
     };
     let cond_vars = cond.as_ref().map(|c| c.vars()).unwrap_or_default();
-    let rebuild = |inner: Op, outer: &Op| -> Op {
-        // outer with its input replaced by the pushed semijoin
-        crate::util::with_child(outer, 0, inner)
-    };
-    let mk_semijoin = |target_input: &Op| -> Op {
-        match keep {
+    // The target with the semijoin pushed onto its input.
+    let push_below = || -> Op {
+        wrap_child((**target).clone(), 0, |target_input| match keep {
             Side::Right => Op::SemiJoin {
                 left: filter.clone(),
-                right: Box::new(target_input.clone()),
+                right: Box::new(target_input),
                 cond: cond.clone(),
                 keep,
             },
             Side::Left => Op::SemiJoin {
-                left: Box::new(target_input.clone()),
+                left: Box::new(target_input),
                 right: filter.clone(),
                 cond: cond.clone(),
                 keep,
             },
-        }
+        })
     };
     match &**target {
         // Below apply: sound when the condition ignores the collected
         // output.
-        Op::Apply { input, out, .. } if !cond_vars.contains(out) => applied(
-            "R12-semijoin-below-group",
-            rebuild(mk_semijoin(input), target),
-        ),
+        Op::Apply { out, .. } if !cond_vars.contains(out) => {
+            applied("R12-semijoin-below-group", push_below())
+        }
         // Below groupBy: sound when the kept-side condition variables
         // are group variables (whole groups pass or fail together).
-        Op::GroupBy { input, group, out } => {
+        Op::GroupBy { group, out, .. } => {
             let kept_ok = cond_vars
                 .iter()
                 .all(|v| group.contains(v) || !bound_vars(target).contains(v));
             if cond_vars.contains(out) || !kept_ok {
                 return None;
             }
-            applied(
-                "R12-semijoin-below-group",
-                rebuild(mk_semijoin(input), target),
-            )
+            applied("R12-semijoin-below-group", push_below())
         }
         // Below per-tuple construction (crElt/cat) and below getD
         // (filtering before expansion): sound when the condition does
         // not reference the operator's output.
-        Op::CrElt { input, out, .. }
-        | Op::Cat { input, out, .. }
-        | Op::GetD { input, to: out, .. }
+        Op::CrElt { out, .. } | Op::Cat { out, .. } | Op::GetD { to: out, .. }
             if !cond_vars.contains(out) =>
         {
-            applied(
-                "R12-semijoin-below-group",
-                rebuild(mk_semijoin(input), target),
-            )
+            applied("R12-semijoin-below-group", push_below())
         }
         _ => None,
     }
@@ -515,54 +560,34 @@ fn select_pushdown(op: &Op) -> Option<Applied> {
         return None;
     };
     let cond_vars = cond.vars();
-    let push_into = |inner: &Op| Op::Select {
-        input: Box::new(inner.clone()),
-        cond: cond.clone(),
+    // The input with the selection pushed onto its `n`-th child.
+    let push_into = |n: usize| {
+        let pushed = wrap_child((**input).clone(), n, |inner| Op::Select {
+            input: Box::new(inner),
+            cond: cond.clone(),
+        });
+        applied("select-pushdown", pushed)
     };
     match &**input {
-        Op::GetD { input: i, to, .. } if !cond_vars.contains(to) => applied(
-            "select-pushdown",
-            crate::util::with_child(input, 0, push_into(i)),
-        ),
-        Op::CrElt { input: i, out, .. }
-        | Op::Cat { input: i, out, .. }
-        | Op::Apply { input: i, out, .. }
+        Op::GetD { to, .. } if !cond_vars.contains(to) => push_into(0),
+        Op::CrElt { out, .. } | Op::Cat { out, .. } | Op::Apply { out, .. }
             if !cond_vars.contains(out) =>
         {
-            applied(
-                "select-pushdown",
-                crate::util::with_child(input, 0, push_into(i)),
-            )
+            push_into(0)
         }
-        Op::OrderBy { input: i, .. } => applied(
-            "select-pushdown",
-            crate::util::with_child(input, 0, push_into(i)),
-        ),
-        Op::GroupBy {
-            input: i,
-            group,
-            out,
-        } => {
+        Op::OrderBy { .. } => push_into(0),
+        Op::GroupBy { group, out, .. } => {
             if cond_vars.contains(out) || !cond_vars.iter().all(|v| group.contains(v)) {
                 return None;
             }
-            applied(
-                "select-pushdown",
-                crate::util::with_child(input, 0, push_into(i)),
-            )
+            push_into(0)
         }
         Op::Join { left, right, .. } => {
             let (lb, rb) = (bound_vars(left), bound_vars(right));
             if cond_vars.iter().all(|v| lb.contains(v)) {
-                applied(
-                    "select-pushdown",
-                    crate::util::with_child(input, 0, push_into(left)),
-                )
+                push_into(0)
             } else if cond_vars.iter().all(|v| rb.contains(v)) {
-                applied(
-                    "select-pushdown",
-                    crate::util::with_child(input, 1, push_into(right)),
-                )
+                push_into(1)
             } else {
                 None
             }
@@ -575,10 +600,7 @@ fn select_pushdown(op: &Op) -> Option<Applied> {
                 Side::Right => (1, right),
             };
             if cond_vars.iter().all(|v| bound_vars(kept).contains(v)) {
-                applied(
-                    "select-pushdown",
-                    crate::util::with_child(input, kept_idx, push_into(kept)),
-                )
+                push_into(kept_idx)
             } else {
                 None
             }
@@ -600,34 +622,25 @@ fn getd_pushdown(op: &Op) -> Option<Applied> {
     else {
         return None;
     };
-    let push_into = |inner: &Op| Op::GetD {
-        input: Box::new(inner.clone()),
-        from: from.clone(),
-        path: path.clone(),
-        to: to.clone(),
+    // The input with the getD pushed onto its `n`-th child.
+    let push_into = |n: usize| {
+        let pushed = wrap_child((**input).clone(), n, |inner| Op::GetD {
+            input: Box::new(inner),
+            from: from.clone(),
+            path: path.clone(),
+            to: to.clone(),
+        });
+        applied("getd-pushdown", pushed)
     };
     match &**input {
-        Op::CrElt { input: i, out, .. }
-        | Op::Cat { input: i, out, .. }
-        | Op::Apply { input: i, out, .. }
-            if from != out =>
-        {
-            applied(
-                "getd-pushdown",
-                crate::util::with_child(input, 0, push_into(i)),
-            )
+        Op::CrElt { out, .. } | Op::Cat { out, .. } | Op::Apply { out, .. } if from != out => {
+            push_into(0)
         }
         Op::Join { left, right, .. } => {
             if bound_vars(left).contains(from) {
-                applied(
-                    "getd-pushdown",
-                    crate::util::with_child(input, 0, push_into(left)),
-                )
+                push_into(0)
             } else if bound_vars(right).contains(from) {
-                applied(
-                    "getd-pushdown",
-                    crate::util::with_child(input, 1, push_into(right)),
-                )
+                push_into(1)
             } else {
                 None
             }
@@ -640,10 +653,7 @@ fn getd_pushdown(op: &Op) -> Option<Applied> {
                 Side::Right => (1, right),
             };
             if bound_vars(kept).contains(from) {
-                applied(
-                    "getd-pushdown",
-                    crate::util::with_child(input, kept_idx, push_into(kept)),
-                )
+                push_into(kept_idx)
             } else {
                 None
             }
@@ -658,12 +668,9 @@ mod tests {
     use mix_algebra::Plan;
     use mix_xml::LabelPath;
 
-    fn ctx_for<'a>(counts: &'a HashMap<Name, usize>, vars: &'a [Name]) -> RuleCtx<'a> {
-        RuleCtx {
-            use_counts: counts,
-            all_vars: vars,
-            disabled: &[],
-        }
+    /// Try the rules at the root of `plan`.
+    fn try_at_root(plan: &Op) -> Option<Applied> {
+        try_rules(plan, &RuleCtx::new(plan, &[]))
     }
 
     fn mk(source: &str, var: &str) -> Op {
@@ -704,8 +711,7 @@ mod tests {
             "Z",
         );
         let plan = getd(base.clone(), "Z", "rec", "X");
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "R2-getd-crelt-exact");
         assert_eq!(a.op, base);
         assert_eq!(a.renames, vec![(Name::new("X"), Name::new("Z"))]);
@@ -721,8 +727,7 @@ mod tests {
             "Z",
         );
         let plan = getd(base, "Z", "rec.item.data()", "X");
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "R1-getd-crelt-push");
         let text = Plan::new(a.op).render();
         assert!(text.contains("getD($W.list.item.data(), $X)"), "{text}");
@@ -740,8 +745,7 @@ mod tests {
             "P",
         );
         let plan = getd(base, "P", "OrderInfo.order.value", "3");
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "R3-getd-crelt-single");
         let text = Plan::new(a.op).render();
         assert!(text.contains("getD($O.order.value, $3)"), "{text}");
@@ -757,8 +761,7 @@ mod tests {
             "Z",
         );
         let plan = getd(base, "Z", "other.x", "X");
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "R4-unsatisfiable");
         assert!(matches!(a.op, Op::Empty { .. }));
     }
@@ -767,16 +770,38 @@ mod tests {
     fn rule10_merges_chains_only_when_dead() {
         let inner = getd(mk("r", "A"), "A", "custRec", "R");
         let plan = getd(inner.clone(), "R", "custRec.orderInfo", "S");
-        let mut counts = HashMap::new();
-        counts.insert(Name::new("R"), 1);
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "R10-chain-merge");
         let text = Plan::new(a.op).render();
         assert!(text.contains("getD($A.custRec.orderInfo, $S)"), "{text}");
         // With another use of $R the merge must not fire.
         let plan2 = getd(inner, "R", "custRec.orderInfo", "S");
-        counts.insert(Name::new("R"), 2);
-        assert!(try_rules(&plan2, &ctx_for(&counts, &[])).is_none());
+        let whole = Op::Project {
+            input: Box::new(plan2.clone()),
+            vars: vec![Name::new("R"), Name::new("S")],
+        };
+        assert!(try_rules(&plan2, &RuleCtx::new(&whole, &[])).is_none());
+    }
+
+    #[test]
+    fn plan_wide_analyses_are_derived_only_when_read() {
+        // R2 fires without reading the context: nothing is derived.
+        let base = crelt(
+            mk("r", "A"),
+            "rec",
+            &["A"],
+            ChildSpec::Single(Name::new("A")),
+            "Z",
+        );
+        let plan = getd(base, "Z", "rec", "X");
+        let ctx = RuleCtx::new(&plan, &[]);
+        assert_eq!(try_rules(&plan, &ctx).unwrap().rule, "R2-getd-crelt-exact");
+        assert!(ctx.use_counts.get().is_none() && ctx.all_vars.get().is_none());
+        // R10's liveness check reads the counts, once.
+        let chain = getd(getd(mk("r", "A"), "A", "a", "R"), "R", "a.b", "S");
+        let ctx = RuleCtx::new(&chain, &[]);
+        assert_eq!(try_rules(&chain, &ctx).unwrap().rule, "R10-chain-merge");
+        assert!(ctx.use_counts.get().is_some() && ctx.all_vars.get().is_none());
     }
 
     #[test]
@@ -791,8 +816,7 @@ mod tests {
             input: Box::new(view),
             var: Name::new("A"),
         };
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "R11-td-mksrc");
         assert_eq!(a.op, view_body);
         assert_eq!(a.renames, vec![(Name::new("A"), Name::new("C"))]);
@@ -806,8 +830,7 @@ mod tests {
             }),
             cond: Cond::cmp_const("X", mix_common::CmpOp::Eq, 1),
         };
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "empty-propagation");
         assert!(matches!(a.op, Op::Empty { .. }));
     }
@@ -824,14 +847,13 @@ mod tests {
             input: Box::new(celt),
             cond: Cond::cmp_const("1", mix_common::CmpOp::Gt, 5),
         };
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "select-pushdown");
         // One more application reaches the join's left branch.
         let Op::CrElt { input, .. } = &a.op else {
             panic!()
         };
-        let b = try_rules(input, &ctx_for(&counts, &[])).unwrap();
+        let b = try_rules(input, &RuleCtx::new(&a.op, &[])).unwrap();
         assert_eq!(b.rule, "select-pushdown");
         let text = Plan::new(b.op).render();
         assert!(text.lines().nth(1).unwrap().contains("select"), "{text}");
@@ -847,8 +869,7 @@ mod tests {
             "V",
         );
         let plan = getd(celt, "S", "a.x", "N");
-        let counts = HashMap::new();
-        let a = try_rules(&plan, &ctx_for(&counts, &[])).unwrap();
+        let a = try_at_root(&plan).unwrap();
         assert_eq!(a.rule, "getd-pushdown");
         let text = Plan::new(a.op).render();
         assert!(text.starts_with("crElt(rec"), "{text}");

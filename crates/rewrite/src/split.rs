@@ -17,7 +17,7 @@
 //! columns so the mediator can run the *stateless* presorted `gBy`
 //! (Fig. 22's `ORDER BY c1.id, o1.orid`).
 
-use crate::util::{children, with_child};
+use crate::util::{child_mut, children};
 use mix_algebra::{Cond, CondArg, Op, Plan, RqBinding, RqKind, Side};
 use mix_common::{CmpOp, Name, Value};
 use mix_relational::{ColRef, FromItem, Operand, Pred, SelectItem, SelectStmt};
@@ -58,7 +58,7 @@ fn split_op(op: &Op, catalog: &Catalog, hint: &[Name]) -> Op {
             let mut out = op.clone();
             for (i, k) in kids.iter().enumerate() {
                 let child_hint = if i == 0 { hint } else { &[] };
-                out = with_child(&out, i, split_op(k, catalog, child_hint));
+                *child_mut(&mut out, i) = split_op(k, catalog, child_hint);
             }
             out
         }
@@ -842,7 +842,7 @@ fn prune_op(op: &Op, catalog: &Catalog, changed: &mut bool) -> Op {
     let kids = children(op);
     let mut out = op.clone();
     for (i, k) in kids.iter().enumerate() {
-        out = with_child(&out, i, prune_op(k, catalog, changed));
+        *child_mut(&mut out, i) = prune_op(k, catalog, changed);
     }
     out
 }

@@ -15,37 +15,42 @@ pub fn children(op: &Op) -> Vec<&Op> {
     c
 }
 
-/// Rebuild `op` with its `n`-th child (in [`children`] order) replaced.
-pub fn with_child(op: &Op, n: usize, new: Op) -> Op {
-    let mut op = op.clone();
-    let boxed = Box::new(new);
-    match &mut op {
-        Op::MkSrcOver { input, .. }
-        | Op::GetD { input, .. }
-        | Op::Select { input, .. }
-        | Op::Project { input, .. }
-        | Op::CrElt { input, .. }
-        | Op::Cat { input, .. }
-        | Op::TupleDestroy { input, .. }
-        | Op::GroupBy { input, .. }
-        | Op::OrderBy { input, .. } => {
-            assert_eq!(n, 0);
-            *input = boxed;
-        }
-        Op::Apply { input, plan, .. } => match n {
-            0 => *input = boxed,
-            1 => *plan = boxed,
-            _ => panic!("apply has two children"),
-        },
-        Op::Join { left, right, .. } | Op::SemiJoin { left, right, .. } => match n {
-            0 => *left = boxed,
-            1 => *right = boxed,
-            _ => panic!("join has two children"),
-        },
-        Op::MkSrc { .. } | Op::NestedSrc { .. } | Op::RelQuery { .. } | Op::Empty { .. } => {
-            panic!("leaf operator has no children")
-        }
+/// The `n`-th child of `op` (in [`children`] order), for replacing a
+/// subtree in place.
+pub fn child_mut(op: &mut Op, n: usize) -> &mut Op {
+    match (op, n) {
+        (
+            Op::MkSrcOver { input, .. }
+            | Op::GetD { input, .. }
+            | Op::Select { input, .. }
+            | Op::Project { input, .. }
+            | Op::CrElt { input, .. }
+            | Op::Cat { input, .. }
+            | Op::TupleDestroy { input, .. }
+            | Op::GroupBy { input, .. }
+            | Op::OrderBy { input, .. }
+            | Op::Apply { input, .. },
+            0,
+        ) => input,
+        (Op::Apply { plan, .. }, 1) => plan,
+        (Op::Join { left, .. } | Op::SemiJoin { left, .. }, 0) => left,
+        (Op::Join { right, .. } | Op::SemiJoin { right, .. }, 1) => right,
+        (op, n) => panic!("{} has no child {n}", op.name()),
     }
+}
+
+/// Replace `slot` by `f` of its current value, moving the subtree
+/// rather than copying it.
+pub fn map_in_place(slot: &mut Op, f: impl FnOnce(Op) -> Op) {
+    let old = std::mem::replace(slot, Op::Empty { vars: Vec::new() });
+    *slot = f(old);
+}
+
+/// `op` with its `n`-th child (in [`children`] order) replaced by
+/// `wrap` of it — the shape of every pushdown: the child moves, it is
+/// not copied.
+pub fn wrap_child(mut op: Op, n: usize, wrap: impl FnOnce(Op) -> Op) -> Op {
+    map_in_place(child_mut(&mut op, n), wrap);
     op
 }
 
@@ -271,11 +276,15 @@ mod tests {
     }
 
     #[test]
-    fn children_and_with_child_round_trip() {
+    fn children_and_child_mut_agree() {
         let body = q1_body();
         let kids = children(&body);
         assert!(!kids.is_empty());
-        let rebuilt = with_child(&body, 0, kids[0].clone());
+        let mut copy = body.clone();
+        for (i, k) in kids.iter().enumerate() {
+            assert_eq!(child_mut(&mut copy, i), *k);
+        }
+        let rebuilt = wrap_child(body.clone(), 0, |k| k);
         assert_eq!(rebuilt, body);
     }
 

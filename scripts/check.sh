@@ -45,6 +45,12 @@ cargo run --quiet --release --example explain >/dev/null
 echo "==> E7 smoke run (presorted vs hash groupBy, Table 1's trade-off)"
 cargo run --quiet --release -p mix-bench --bin experiments -- e7 >/dev/null
 
+echo "==> E8 smoke run (per-rule ablation through rewrite_with_disabled)"
+cargo run --quiet --release -p mix-bench --bin experiments -- e8 >/dev/null
+
+echo "==> examples/sales_report.rs smoke run (the rewrite derivation over a view)"
+cargo run --quiet --release --example sales_report >/dev/null
+
 echo "==> block_sweep bench smoke run"
 cargo bench -p mix-bench --bench block_sweep -- --smoke >/dev/null
 

@@ -277,6 +277,28 @@ fn decontextualized_query_ships_single_sql() {
 }
 
 #[test]
+fn sibling_inplace_results_share_one_rewrite_trace() {
+    // Two sibling CustRecs issue the same in-place query: the first
+    // compiles a plan-cache template, the second is instantiated from
+    // it. Both results hold the template's one derivation, not copies.
+    let (catalog, _) = mix::wrapper::fig2_catalog();
+    let m = Mediator::new(catalog);
+    let mut s = m.session();
+    let p0 = s.query(Q1).unwrap();
+    let rec1 = s.d(p0).unwrap().unwrap();
+    let rec2 = s.r(rec1).unwrap().unwrap();
+    let text = "FOR $O IN document(root)/OrderInfo WHERE $O/order/value > 0 RETURN $O";
+    let a = s.q(text, rec1).unwrap();
+    let b = s.q(text, rec2).unwrap();
+    let stats = s.ctx().stats();
+    assert_eq!(stats.get(Counter::PlanCacheMisses), 1);
+    assert_eq!(stats.get(Counter::PlanCacheHits), 1);
+    let (ta, tb) = (&s.result_info(a).trace, &s.result_info(b).trace);
+    assert!(!ta.steps.is_empty());
+    assert!(std::sync::Arc::ptr_eq(ta, tb));
+}
+
+#[test]
 fn shared_plan_cache_never_crosses_backends() {
     // Regression: the shared plan-cache key must include backend
     // identity. Two mediators over *different* databases (or different
