@@ -594,6 +594,19 @@ impl ColumnBlock {
         out.len += idx.len();
     }
 
+    /// Append the rows selected by `idx`, restricted to the source
+    /// columns listed in `cols` (in that order), to `out`, whose arity
+    /// must be `cols.len()`: [`ColumnBlock::gather_rows`] for a kernel
+    /// that reads only a few columns.
+    pub fn gather_projected(&self, cols: &[usize], idx: &[usize], out: &mut ColumnBlock) {
+        debug_assert!(idx.iter().all(|&r| r < self.len));
+        debug_assert_eq!(cols.len(), out.cols.len(), "projection arity mismatch");
+        for (dst, &c) in out.cols.iter_mut().zip(cols) {
+            dst.append_from(&self.cols[c], Pick::Index(idx), out.len);
+        }
+        out.len += idx.len();
+    }
+
     /// Vectorized predicate against a constant: fill `out` with
     /// `cell(r, col) op rhs` for `r` in `start..end`, under
     /// [`Value::satisfies`] semantics (null or incomparable cells are

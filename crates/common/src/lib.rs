@@ -41,4 +41,4 @@ pub use prefetch::{PrefetchPolicy, AUTO_PREFETCH_DEPTH};
 pub use retry::RetryPolicy;
 pub use shard::{ShardedLru, DEFAULT_SHARDS};
 pub use stats::{BlockRows, Counter, Delta, Snapshot, Stats};
-pub use value::{CmpOp, Value};
+pub use value::{CmpOp, ScalarKey, Value};

@@ -44,9 +44,66 @@ impl std::hash::Hash for Value {
             Value::Null => {}
             Value::Bool(b) => b.hash(state),
             Value::Int(i) => i.hash(state),
-            Value::Float(f) => f.to_bits().hash(state),
+            // `Float(-0.0) == Float(0.0)`, so both must hash alike.
+            Value::Float(f) => norm_bits(*f).hash(state),
             Value::Str(s) => s.hash(state),
         }
+    }
+}
+
+/// `f`'s bit pattern with `-0.0` folded into `0.0` (the two compare
+/// equal). NaN never reaches here: `Value::Float` is NaN-free by
+/// construction.
+fn norm_bits(f: f64) -> u64 {
+    if f == 0.0 {
+        0f64.to_bits()
+    } else {
+        f.to_bits()
+    }
+}
+
+/// A normalized equality key for one scalar (see [`Value::eq_key`]).
+///
+/// Keying is *complete* with respect to [`Value::compare`]: whenever
+/// `a = b` holds, `a.eq_key() == b.eq_key()`. It is exact for almost
+/// every probe — see [`Value::eq_key_is_exact`] — but not for integers
+/// of magnitude 2^53 and beyond, which share an f64 with their
+/// neighbours; a candidate found by such a key must be re-checked with
+/// the comparison itself.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum ScalarKey {
+    /// `Int` and `Float` alike, as f64 bits (`-0.0` folded), because
+    /// `3 = 3.0` under [`Value::compare`].
+    Num(u64),
+    /// String content; shares the cell's allocation (a refcount bump).
+    Str(Arc<str>),
+    /// Boolean.
+    Bool(bool),
+}
+
+impl Value {
+    /// This value's equality key; `None` for `Null`, which no equality
+    /// accepts. The one normalization shared by the mediator's hash
+    /// kernels and the sources' column indexes.
+    pub fn eq_key(&self) -> Option<ScalarKey> {
+        match self {
+            Value::Null => None,
+            Value::Bool(b) => Some(ScalarKey::Bool(*b)),
+            Value::Int(i) => Some(ScalarKey::Num(norm_bits(*i as f64))),
+            Value::Float(f) => Some(ScalarKey::Num(norm_bits(*f))),
+            Value::Str(s) => Some(ScalarKey::Str(Arc::clone(s))),
+        }
+    }
+
+    /// True when every value sharing this value's [`Value::eq_key`] is
+    /// equal to it under [`Value::compare`], so candidates found by the
+    /// key need no re-check. Only an `Int` of magnitude 2^53 or more
+    /// fails: `Int(2^53 + 1)` keys like `Int(2^53)`, yet the two differ.
+    /// (Its float image is no problem: `compare` itself converts an
+    /// integer met by a float, so those pairs are equal exactly when
+    /// their keys are.)
+    pub fn eq_key_is_exact(&self) -> bool {
+        !matches!(self, Value::Int(i) if i.unsigned_abs() >= 1 << 53)
     }
 }
 
@@ -327,6 +384,47 @@ mod tests {
         assert_eq!(Value::parse_literal("2.5"), Value::Float(2.5));
         assert_eq!(Value::parse_literal("true"), Value::Bool(true));
         assert_eq!(Value::parse_literal("XYZ123"), Value::str("XYZ123"));
+    }
+
+    fn hash_of(v: &Value) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(v)
+    }
+
+    #[test]
+    fn equal_values_hash_alike() {
+        // -0.0 == 0.0, so DISTINCT's `HashSet<Row>` must see one key.
+        assert_eq!(Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(hash_of(&Value::Float(-0.0)), hash_of(&Value::Float(0.0)));
+        let set: std::collections::HashSet<Value> = [Value::Float(-0.0), Value::Float(0.0)]
+            .into_iter()
+            .collect();
+        assert_eq!(set.len(), 1);
+    }
+
+    #[test]
+    fn eq_keys_are_complete_for_equality() {
+        assert_eq!(Value::Int(3).eq_key(), Value::Float(3.0).eq_key());
+        assert_eq!(Value::Float(-0.0).eq_key(), Value::Int(0).eq_key());
+        assert_eq!(Value::str("a").eq_key(), Value::str("a").eq_key());
+        assert_ne!(Value::Int(3).eq_key(), Value::str("3").eq_key());
+        assert_ne!(Value::Bool(true).eq_key(), Value::Int(1).eq_key());
+        assert_eq!(Value::Null.eq_key(), None);
+    }
+
+    #[test]
+    fn eq_keys_are_exact_below_2_pow_53() {
+        let big = 1i64 << 53;
+        // Sharing a key implies equality, except for integers past 2^53.
+        assert_eq!(Value::Int(big + 1).eq_key(), Value::Int(big).eq_key());
+        assert!(!Value::Int(big + 1).satisfies(CmpOp::Eq, &Value::Int(big)));
+        assert!(!Value::Int(big).eq_key_is_exact());
+        assert!(!Value::Int(-big).eq_key_is_exact());
+        assert!(Value::Int(big - 1).eq_key_is_exact());
+        // A float meets an integer through the integer's f64 image.
+        assert!(Value::Float(big as f64).eq_key_is_exact());
+        assert!(Value::Float(big as f64).satisfies(CmpOp::Eq, &Value::Int(big + 1)));
+        assert!(Value::str("x").eq_key_is_exact() && Value::Bool(true).eq_key_is_exact());
     }
 
     #[test]

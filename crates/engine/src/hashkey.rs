@@ -8,54 +8,35 @@
 //! full original condition, so a collision merely costs one extra
 //! probe.
 //!
-//! Completeness drives the normalization: [`Value::satisfies`] compares
-//! `Int` and `Float` numerically (`3 = 3.0`), so both normalize to the
-//! same f64 bit pattern (with `-0.0` folded into `0.0`). `Null` is
-//! never equal to anything — a `Null` (or absent) key means the tuple
-//! cannot match, so it gets no key at all and is dropped from the
-//! build side / skipped on the probe side.
+//! Completeness drives the normalization, which is [`Value::eq_key`]
+//! (shared with the relational sources' column indexes):
+//! [`Value::satisfies`] compares `Int` and `Float` numerically
+//! (`3 = 3.0`), so both normalize to the same f64 bit pattern (with
+//! `-0.0` folded into `0.0`). `Null` is never equal to anything — a
+//! `Null` (or absent) key means the tuple cannot match, so it gets no
+//! key at all and is dropped from the build side / skipped on the probe
+//! side.
 
 use crate::context::EvalContext;
 use crate::lval::LTuple;
 use mix_algebra::{EquiPair, KeyKind, Side};
-use mix_common::{Name, Value};
+use mix_common::{Name, ScalarKey, Value};
 use mix_xml::Oid;
 use std::sync::Arc;
 
 /// One normalized key component.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum KeyPart {
-    /// Numeric key: f64 bits after cross-type normalization.
-    Num(u64),
-    /// String key: shares the cell's allocation (refcount bump, no
-    /// copy; `Arc<str>` hashes and compares by content).
-    Str(std::sync::Arc<str>),
-    /// Boolean key.
-    Bool(bool),
+    /// Scalar key: [`Value::eq_key`].
+    Scalar(ScalarKey),
     /// Node-identity key (`≐` conjuncts): the grouping oid.
     Node(Oid),
-}
-
-fn norm_bits(f: f64) -> u64 {
-    // -0.0 == 0.0 under satisfies; fold to one bit pattern. NaN never
-    // reaches here (Value::Float is NaN-free by construction).
-    if f == 0.0 {
-        0f64.to_bits()
-    } else {
-        f.to_bits()
-    }
 }
 
 /// Normalize a scalar into a key part; `None` for `Null` (which no
 /// equality can accept).
 pub(crate) fn scalar_part(v: &Value) -> Option<KeyPart> {
-    match v {
-        Value::Null => None,
-        Value::Bool(b) => Some(KeyPart::Bool(*b)),
-        Value::Int(i) => Some(KeyPart::Num(norm_bits(*i as f64))),
-        Value::Float(f) => Some(KeyPart::Num(norm_bits(*f))),
-        Value::Str(s) => Some(KeyPart::Str(s.clone())),
-    }
+    v.eq_key().map(KeyPart::Scalar)
 }
 
 /// The hash key of `t` for its side of the extracted pairs. `None`

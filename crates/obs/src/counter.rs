@@ -29,7 +29,10 @@ pub enum Counter {
     /// (the high-watermark of rows pulled; the paper's "partial result
     /// evaluation" shows up as this staying far below the full result).
     TuplesShipped,
-    /// Rows scanned inside the relational executor (internal work).
+    /// Rows examined inside the relational executor (internal work):
+    /// the rows a full scan consumed, the candidates an index lookup
+    /// checked, and the candidates a join probe checked. A table that
+    /// is only probed is never counted whole.
     RowsScanned,
     /// Navigation commands answered by the mediator
     /// (`d`/`r`/`fl`/`fv`/`getRoot`).

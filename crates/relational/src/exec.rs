@@ -22,16 +22,16 @@
 //! have ([`Cursor::next_cblock_retrying`]).
 
 use crate::fault::ChaosState;
-use crate::plan::{PhysPlan, ROperand, RPred};
+use crate::plan::{Access, PhysPlan, ROperand, RPred};
 use crate::prefetch::{self, FetchedBlock, PrefetchHandle, PrefetchMsg};
 use crate::table::{Row, Table};
 use mix_common::ring::TryRecv;
 use mix_common::{
-    BlockRamp, ColumnBlock, Counter, MixError, PrefetchPolicy, Result, RetryPolicy, Stats, Value,
+    BlockRamp, CmpOp, ColumnBlock, Counter, MixError, PrefetchPolicy, Result, RetryPolicy, Stats,
 };
 use mix_obs::TracerHandle;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,8 +54,8 @@ pub(crate) trait RowIter: Send {
     }
 }
 
-/// Block size for internal full drains (build sides, sorts, eager
-/// collection). One block of this size costs one virtual dispatch.
+/// Block size for internal full drains (nested-loop inner sides, sorts,
+/// eager collection). One block of this size costs one virtual dispatch.
 const DRAIN_BLOCK: usize = mix_common::MAX_AUTO_BLOCK;
 
 /// Drain `src` to exhaustion into one block of `arity` columns.
@@ -727,12 +727,15 @@ impl Cursor {
 
 fn compile(plan: &PhysPlan, stats: &Stats) -> Box<dyn RowIter> {
     match plan {
-        PhysPlan::Scan { table, preds, .. } => Box::new(ScanIter {
-            table: Arc::clone(table),
+        PhysPlan::Scan(scan) => Box::new(ScanIter {
+            table: Arc::clone(&scan.table),
+            access: scan.access.clone(),
             idx: 0,
-            preds: preds.clone(),
+            preds: scan.preds.clone(),
             stats: stats.clone(),
             filter: Filter::default(),
+            picks: Vec::new(),
+            cand: ColumnBlock::new(scan.table.schema().arity()),
         }),
         PhysPlan::HashJoin {
             left,
@@ -740,21 +743,48 @@ fn compile(plan: &PhysPlan, stats: &Stats) -> Box<dyn RowIter> {
             left_key,
             right_key,
             post,
-        } => Box::new(HashJoinIter {
-            left: compile(left, stats),
-            right: Some(compile(right, stats)),
-            build: ColumnBlock::new(right.arity()),
-            table: HashMap::new(),
-            left_key: *left_key,
-            right_key: *right_key,
-            post: post.clone(),
-            lbuf: ColumnBlock::new(left.arity()),
-            lidx: Vec::new(),
-            ridx: Vec::new(),
-            pos: 0,
-            joined: ColumnBlock::new(plan.arity()),
-            filter: Filter::default(),
-        }),
+        } => {
+            // The right scan's predicates read only the probed table:
+            // renumber them over the few columns they name, which is
+            // all a probe gathers to check them.
+            let mut inner_cols = Vec::new();
+            let mut at = |c: usize| match inner_cols.iter().position(|&x| x == c) {
+                Some(i) => i,
+                None => {
+                    inner_cols.push(c);
+                    inner_cols.len() - 1
+                }
+            };
+            let inner: Vec<RPred> = right
+                .preds
+                .iter()
+                .map(|p| RPred {
+                    lhs: at(p.lhs),
+                    op: p.op,
+                    rhs: match &p.rhs {
+                        ROperand::Col(c) => ROperand::Col(at(*c)),
+                        ROperand::Const(v) => ROperand::Const(v.clone()),
+                    },
+                })
+                .collect();
+            Box::new(HashJoinIter {
+                left: compile(left, stats),
+                table: Arc::clone(&right.table),
+                left_key: *left_key,
+                right_key: *right_key,
+                cand: ColumnBlock::new(inner_cols.len()),
+                inner,
+                inner_cols,
+                post: post.clone(),
+                stats: stats.clone(),
+                lbuf: ColumnBlock::new(left.arity()),
+                lidx: Vec::new(),
+                ridx: Vec::new(),
+                pos: 0,
+                joined: ColumnBlock::new(plan.arity()),
+                filter: Filter::default(),
+            })
+        }
         PhysPlan::NlJoin { left, right, post } => Box::new(NlJoinIter {
             left: compile(left, stats),
             right_src: Some(compile(right, stats)),
@@ -855,38 +885,79 @@ impl Filter {
 
 struct ScanIter {
     table: Arc<Table>,
+    access: Access,
+    /// The next row to examine: a row id under `Full`, a position in
+    /// the lookup's candidate list under `Lookup`.
     idx: usize,
     preds: Vec<RPred>,
     stats: Stats,
     filter: Filter,
+    /// Lookup scratch: one chunk of candidate row ids, and their rows.
+    picks: Vec<usize>,
+    cand: ColumnBlock,
 }
 
 impl RowIter for ScanIter {
     /// Bulk column-slice copies from the table's mirror when
     /// unfiltered; otherwise chunked vectorized predicate masks with a
-    /// gather of the selected rows. `RowsScanned` counts exactly the
-    /// rows *consumed* — up to and including the n-th match — even
-    /// though a kernel may have evaluated a few cells past it within
-    /// the final chunk.
+    /// gather of the selected rows — over the whole table, or over a
+    /// lookup's candidates, gathered from the column index a chunk at a
+    /// time. `RowsScanned` counts exactly the rows *consumed* — up to
+    /// and including the n-th match — even though a kernel may have
+    /// evaluated a few cells past it within the final chunk.
     fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
-        let cols = self.table.block();
-        let total = cols.len();
         let start = self.idx;
-        let mut k = 0;
-        if self.preds.is_empty() {
-            self.idx = total.min(start + n);
-            cols.append_range(start, self.idx, out);
-            k = self.idx - start;
-        } else {
-            while k < n && self.idx < total {
-                let chunk_end = total.min(self.idx + SCAN_CHUNK);
-                self.idx = self
-                    .filter
-                    .select(cols, &self.preds, self.idx, chunk_end, n - k);
-                cols.gather_rows(&self.filter.sel, out);
-                k += self.filter.sel.len();
+        let k = match &self.access {
+            Access::Lookup { col, key } => {
+                let ids = self.table.key_index(*col).lookup(key);
+                let cols = self.table.block();
+                let mut k = 0;
+                while k < n && self.idx < ids.len() {
+                    let chunk = if self.preds.is_empty() {
+                        n - k
+                    } else {
+                        SCAN_CHUNK
+                    };
+                    let chunk = &ids[self.idx..ids.len().min(self.idx + chunk)];
+                    self.picks.clear();
+                    self.picks.extend(chunk.iter().map(|&r| r as usize));
+                    if self.preds.is_empty() {
+                        cols.gather_rows(&self.picks, out);
+                        k += chunk.len();
+                        self.idx += chunk.len();
+                        continue;
+                    }
+                    self.cand.clear();
+                    cols.gather_rows(&self.picks, &mut self.cand);
+                    self.idx += self
+                        .filter
+                        .select(&self.cand, &self.preds, 0, chunk.len(), n - k);
+                    self.cand.gather_rows(&self.filter.sel, out);
+                    k += self.filter.sel.len();
+                }
+                k
             }
-        }
+            Access::Full if self.preds.is_empty() => {
+                let cols = self.table.block();
+                self.idx = cols.len().min(start + n);
+                cols.append_range(start, self.idx, out);
+                self.idx - start
+            }
+            Access::Full => {
+                let cols = self.table.block();
+                let total = cols.len();
+                let mut k = 0;
+                while k < n && self.idx < total {
+                    let chunk_end = total.min(self.idx + SCAN_CHUNK);
+                    self.idx = self
+                        .filter
+                        .select(cols, &self.preds, self.idx, chunk_end, n - k);
+                    cols.gather_rows(&self.filter.sel, out);
+                    k += self.filter.sel.len();
+                }
+                k
+            }
+        };
         if self.idx > start {
             self.stats
                 .add(Counter::RowsScanned, (self.idx - start) as u64);
@@ -904,29 +975,39 @@ impl RowIter for ScanIter {
     }
 }
 
-/// Streams the left input; drains the right input into a columnar
-/// build side on first pull. The pipeline therefore stays lazy in its
-/// *driver* (left) input. Probe output is a pure column gather
-/// ([`ColumnBlock::append_join`]); `post` predicates filter the matches
-/// with the same vectorized kernels as scans.
+/// Index join: streams the left input and, per left row, probes the
+/// right table's column index (built once per table, on first use, and
+/// shared by every later statement). The pipeline is lazy in its left
+/// input and never reads the right table beyond the probed keys'
+/// candidates, which come in ascending row id — the right table's scan
+/// order — so output order is left-major exactly as a hash join over a
+/// drained right side would give it. A probe key answers the join
+/// equality exactly unless it is an integer past 2^53
+/// ([`mix_common::Value::eq_key_is_exact`]); those candidates are
+/// compared one by one. The right scan's predicates, then `post`,
+/// filter the candidates with the scan kernels; surviving pairs are a
+/// pure column gather ([`ColumnBlock::append_join`]).
 struct HashJoinIter {
     left: Box<dyn RowIter>,
-    /// The build input, until the first pull drains it into `build`.
-    right: Option<Box<dyn RowIter>>,
-    build: ColumnBlock,
-    /// Build rows by join key (null keys never join).
-    table: HashMap<Value, Vec<usize>>,
+    table: Arc<Table>,
     left_key: usize,
     right_key: usize,
+    /// The right scan's predicates over `inner_cols`, the table
+    /// columns they read, gathered into `cand` per probe.
+    inner: Vec<RPred>,
+    inner_cols: Vec<usize>,
+    cand: ColumnBlock,
+    /// Cross-table predicates, in joined-row offsets.
     post: Vec<RPred>,
+    stats: Stats,
     /// The current probe block and its surviving matches: match `i`
-    /// joins `lbuf` row `lidx[i]` with `build` row `ridx[i]`. Matches
+    /// joins `lbuf` row `lidx[i]` with table row `ridx[i]`. Matches
     /// from `pos` on are the surplus a pull leaves for the next one.
     lbuf: ColumnBlock,
     lidx: Vec<usize>,
     ridx: Vec<usize>,
     pos: usize,
-    /// Post-predicate scratch: the joined matches and their filter.
+    /// `post` scratch: the candidate pairs, joined, and their filter.
     joined: ColumnBlock,
     filter: Filter,
 }
@@ -940,40 +1021,62 @@ impl HashJoinIter {
         self.ridx.clear();
         self.pos = 0;
         let got = self.left.next_cblock(&mut self.lbuf, n)?;
+        let index = self.table.key_index(self.right_key);
+        let mut examined = 0;
         for i in 0..got {
-            if let Some(matches) = self.table.get(&self.lbuf.value_at(i, self.left_key)) {
-                self.lidx.extend(std::iter::repeat_n(i, matches.len()));
-                self.ridx.extend_from_slice(matches);
+            let key = self.lbuf.value_at(i, self.left_key);
+            let ids = index.lookup(&key);
+            examined += ids.len();
+            let before = self.ridx.len();
+            let ids = ids.iter().map(|&r| r as usize);
+            if key.eq_key_is_exact() {
+                self.ridx.extend(ids);
+            } else {
+                let cols = self.table.block();
+                let right_key = self.right_key;
+                self.ridx.extend(
+                    ids.filter(|&r| key.satisfies(CmpOp::Eq, &cols.value_at(r, right_key))),
+                );
             }
+            self.lidx
+                .extend(std::iter::repeat_n(i, self.ridx.len() - before));
+        }
+        if examined > 0 {
+            self.stats.add(Counter::RowsScanned, examined as u64);
+        }
+        if !self.inner.is_empty() && !self.lidx.is_empty() {
+            self.cand.clear();
+            self.table
+                .block()
+                .gather_projected(&self.inner_cols, &self.ridx, &mut self.cand);
+            let len = self.cand.len();
+            self.filter.select(&self.cand, &self.inner, 0, len, len);
+            self.keep_selected();
         }
         if !self.post.is_empty() && !self.lidx.is_empty() {
             self.joined.clear();
             self.lbuf
-                .append_join(&self.lidx, &self.build, &self.ridx, &mut self.joined);
+                .append_join(&self.lidx, self.table.block(), &self.ridx, &mut self.joined);
             let len = self.joined.len();
             self.filter.select(&self.joined, &self.post, 0, len, len);
-            for (j, &m) in self.filter.sel.iter().enumerate() {
-                self.lidx[j] = self.lidx[m];
-                self.ridx[j] = self.ridx[m];
-            }
-            self.lidx.truncate(self.filter.sel.len());
-            self.ridx.truncate(self.filter.sel.len());
+            self.keep_selected();
         }
         Ok(got > 0)
+    }
+
+    /// Keep only the staged matches the last filter selected.
+    fn keep_selected(&mut self) {
+        for (j, &m) in self.filter.sel.iter().enumerate() {
+            self.lidx[j] = self.lidx[m];
+            self.ridx[j] = self.ridx[m];
+        }
+        self.lidx.truncate(self.filter.sel.len());
+        self.ridx.truncate(self.filter.sel.len());
     }
 }
 
 impl RowIter for HashJoinIter {
     fn next_cblock(&mut self, out: &mut ColumnBlock, n: usize) -> Result<usize> {
-        if let Some(mut right) = self.right.take() {
-            self.build = drain_all(&mut *right, self.build.arity())?;
-            for r in 0..self.build.len() {
-                let key = self.build.value_at(r, self.right_key);
-                if !key.is_null() {
-                    self.table.entry(key).or_default().push(r);
-                }
-            }
-        }
         let mut k = 0;
         while k < n {
             if self.pos == self.lidx.len() {
@@ -984,7 +1087,7 @@ impl RowIter for HashJoinIter {
             }
             let end = self.lidx.len().min(self.pos + (n - k));
             let (l, r) = (&self.lidx[self.pos..end], &self.ridx[self.pos..end]);
-            self.lbuf.append_join(l, &self.build, r, out);
+            self.lbuf.append_join(l, self.table.block(), r, out);
             k += end - self.pos;
             self.pos = end;
         }
@@ -1150,6 +1253,7 @@ mod tests {
     use super::*;
     use crate::fixtures::sample_db;
     use crate::FaultPolicy;
+    use mix_common::Value;
 
     fn run(sql: &str) -> Vec<Row> {
         let db = sample_db();
@@ -1279,7 +1383,7 @@ mod tests {
             row(&["87456", "XYZ123", "200000"]),
             row(&["99111", "DEF345", "500"]),
         ];
-        let cases: [(&str, usize, Vec<Row>, [u64; 3]); 8] = [
+        let cases: [(&str, usize, Vec<Row>, [u64; 3]); 10] = [
             ("SELECT * FROM orders", 2, orders.to_vec(), [3, 3, 2]),
             // The filtered scan consumes up to its 2nd match, then the
             // last row on the pull that finds nothing more.
@@ -1289,7 +1393,8 @@ mod tests {
                 orders[..2].to_vec(),
                 [3, 2, 1],
             ),
-            // Sort drains the join: 3 build + 2 probe rows scanned.
+            // Sort drains the join: 2 driving rows scanned, 3 candidates
+            // probed.
             (
                 "SELECT c.id, o.orid, o.value FROM customer c, orders o \
                  WHERE c.id = o.cid ORDER BY o.orid",
@@ -1341,6 +1446,21 @@ mod tests {
                 2,
                 vec![row(&["XYZ123"]), row(&["DEF345"])],
                 [3, 2, 1],
+            ),
+            // A lookup examines only its key's rows, one per 1-row pull.
+            (
+                "SELECT o.orid FROM orders o WHERE o.cid = 'XYZ123'",
+                1,
+                vec![row(&["28904"]), row(&["87456"])],
+                [2, 2, 2],
+            ),
+            // A lookup drives the join, whose probe examines one order.
+            (
+                "SELECT c.id, o.orid FROM customer c, orders o \
+                 WHERE c.id = o.cid AND c.id = 'DEF345'",
+                2,
+                vec![row(&["DEF345", "99111"])],
+                [2, 1, 1],
             ),
         ];
         for (sql, n, rows, counts) in cases {
@@ -1437,6 +1557,29 @@ mod tests {
             .collect_all()
             .unwrap();
         assert_eq!(rows, vec![vec![Value::Int(1), Value::Int(2400)]]);
+    }
+
+    #[test]
+    fn cross_type_numeric_equi_join_matches() {
+        use crate::schema::{Column, ColumnType, Schema};
+        let mut db = crate::db::Database::new("s");
+        for (t, c, ty) in [("a", "x", ColumnType::Float), ("b", "y", ColumnType::Int)] {
+            let cols = vec![Column::new("id", ColumnType::Int), Column::new(c, ty)];
+            db.create_table(t, Schema::new(cols, &["id"]).unwrap())
+                .unwrap();
+        }
+        for (id, x, y) in [(1, 5.0, 5), (2, -0.0, 0)] {
+            db.insert("a", vec![Value::Int(id), Value::Float(x)])
+                .unwrap();
+            db.insert("b", vec![Value::Int(id), Value::Int(y)]).unwrap();
+        }
+        // 5.0 = 5 and -0.0 = 0 under the comparison: both pairs join.
+        let rows = db
+            .execute_sql("SELECT a.id, b.id FROM a, b WHERE a.x = b.y")
+            .unwrap()
+            .collect_all()
+            .unwrap();
+        assert_eq!(rows, vec![row(&["1", "1"]), row(&["2", "2"])]);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! substrate, built from scratch:
 //!
 //! * [`schema`] / [`table`] / [`Database`] — typed tables with primary
-//!   keys (keys become the wrapper's tuple oids, Fig. 2).
+//!   keys (keys become the wrapper's tuple oids, Fig. 2), each with a
+//!   columnar mirror and one equality index per column, built on first
+//!   use.
 //! * [`ast`] + [`parse_sql`] — a SQL subset: `SELECT [DISTINCT] cols
 //!   FROM t a, u b WHERE a.x = b.y AND a.z > 5 ORDER BY a.x`.
-//! * [`plan`] + [`exec`] — a planner (scan → hash/nested-loop joins with
-//!   pushed-down single-table filters → sort → project → distinct) and a
+//! * [`plan`] + [`exec`] — a planner (full or index-lookup scans →
+//!   index-probing/nested-loop joins with pushed-down single-table
+//!   filters → sort → project → distinct) and a
 //!   pipelined executor delivering rows through [`Cursor`], which counts
 //!   every tuple shipped to the mediator in the shared
 //!   [`Stats`](mix_common::Stats).

@@ -1,10 +1,14 @@
 //! Planner: SQL AST → physical plan.
 //!
 //! The plan shape is fixed and simple — left-deep joins in FROM-list
-//! order with single-table predicates pushed to scans, hash joins on
+//! order with single-table predicates pushed to scans, index joins on
 //! equi-predicates (nested loops otherwise), then sort, project,
 //! distinct. MIX is "not concerned with cost-based optimization issues"
-//! at the source; what matters is *pipelined* delivery.
+//! at the source; what matters is *pipelined* delivery, and that a
+//! statement pinned to one key costs the key's rows, not the table's:
+//! a scan with a pushed `col = const` reads the column index
+//! ([`Access::Lookup`]), and a join probes its base table's index per
+//! driving row instead of reading that table at all.
 
 use crate::ast::{ColRef, Operand, SelectStmt};
 use crate::db::Database;
@@ -28,22 +32,77 @@ pub enum ROperand {
     Const(Value),
 }
 
+/// How a scan reaches its candidate rows. Either way every candidate
+/// is checked against the scan's predicates, so the access path changes
+/// what is read, never what is returned, nor its order.
+#[derive(Debug, Clone)]
+pub enum Access {
+    /// Every row, in table order.
+    Full,
+    /// The rows of `col`'s index under `key` (see
+    /// [`crate::table::KeyIndex`]), in table order: exactly the rows
+    /// where `col = key` holds when [`Value::eq_key_is_exact`], a
+    /// superset otherwise.
+    Lookup { col: usize, key: Value },
+}
+
+/// A base-table scan with pushed-down predicates (offsets local to
+/// the table).
+#[derive(Debug, Clone)]
+pub struct Scan {
+    pub table: Arc<Table>,
+    pub preds: Vec<RPred>,
+    pub name: Name,
+    pub access: Access,
+}
+
+impl Scan {
+    /// Take the access path from the first `=` const conjunct. When
+    /// the index answers that conjunct exactly it leaves `preds`; the
+    /// others are checked on the candidates.
+    fn choose_access(&mut self) {
+        let lookup = self
+            .preds
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| match (p.op, &p.rhs) {
+                (CmpOp::Eq, ROperand::Const(key)) => Some((i, p.lhs, key.clone())),
+                _ => None,
+            });
+        let Some((i, col, key)) = lookup else {
+            return;
+        };
+        if key.eq_key_is_exact() {
+            self.preds.remove(i);
+        }
+        self.access = Access::Lookup { col, key };
+    }
+
+    fn explain_into(&self, out: &mut String, depth: usize) {
+        use std::fmt::Write;
+        let pad = "  ".repeat(depth);
+        let _ = write!(out, "{pad}Scan({})", self.name);
+        if let Access::Lookup { col, .. } = &self.access {
+            let _ = write!(out, " Lookup({})", self.table.schema().columns()[*col].name);
+        }
+        let _ = writeln!(out, " preds={}", self.preds.len());
+    }
+}
+
 /// Physical plan nodes.
 #[derive(Debug, Clone)]
 pub enum PhysPlan {
-    /// Base-table scan with pushed-down predicates.
-    Scan {
-        table: Arc<Table>,
-        preds: Vec<RPred>,
-        name: Name,
-    },
-    /// Hash join: stream `left`, build a hash table on `right` keyed by
-    /// `right_key` (offset local to the right input), probing with
-    /// `left_key` (offset into the left row). `post` filters the joined
-    /// row.
+    /// Base-table scan.
+    Scan(Scan),
+    /// Index join: stream `left`; for each of its rows, probe the
+    /// index of `right`'s table on `right_key` (offset local to the
+    /// right table) with the row's `left_key` (offset into the left
+    /// row). A candidate joins when the key equality, `right.preds`
+    /// and `post` (offsets into the joined row) all hold. `right` is
+    /// never read on its own, so its access is always `Full`.
     HashJoin {
         left: Box<PhysPlan>,
-        right: Box<PhysPlan>,
+        right: Scan,
         left_key: usize,
         right_key: usize,
         post: Vec<RPred>,
@@ -71,10 +130,9 @@ impl PhysPlan {
     /// Output arity of this node.
     pub fn arity(&self) -> usize {
         match self {
-            PhysPlan::Scan { table, .. } => table.schema().arity(),
-            PhysPlan::HashJoin { left, right, .. } | PhysPlan::NlJoin { left, right, .. } => {
-                left.arity() + right.arity()
-            }
+            PhysPlan::Scan(scan) => scan.table.schema().arity(),
+            PhysPlan::HashJoin { left, right, .. } => left.arity() + right.table.schema().arity(),
+            PhysPlan::NlJoin { left, right, .. } => left.arity() + right.arity(),
             PhysPlan::Sort { input, .. } => input.arity(),
             PhysPlan::Project { cols, .. } => cols.len(),
         }
@@ -92,9 +150,7 @@ impl PhysPlan {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
         match self {
-            PhysPlan::Scan { name, preds, .. } => {
-                let _ = writeln!(out, "{pad}Scan({name}) preds={}", preds.len());
-            }
+            PhysPlan::Scan(scan) => scan.explain_into(out, depth),
             PhysPlan::HashJoin {
                 left,
                 right,
@@ -104,7 +160,7 @@ impl PhysPlan {
             } => {
                 let _ = writeln!(
                     out,
-                    "{pad}HashJoin(l[{left_key}]=r[{right_key}]) post={}",
+                    "{pad}HashJoin(l[{left_key}]=r[{right_key}]) probe=index post={}",
                     post.len()
                 );
                 left.explain_into(out, depth + 1);
@@ -254,13 +310,17 @@ pub fn build_plan(db: &Database, stmt: &SelectStmt) -> Result<PhysPlan> {
                 p.used = true;
             }
         }
-        let scan = PhysPlan::Scan {
+        let mut scan = Scan {
             table: Arc::clone(t),
             preds: local,
             name: stmt.from[bi].binding().clone(),
+            access: Access::Full,
         };
         plan = Some(match plan {
-            None => scan,
+            None => {
+                scan.choose_access();
+                PhysPlan::Scan(scan)
+            }
             Some(left) => {
                 // Find one equi-predicate linking left part ↔ this table.
                 let mut join_key = None;
@@ -295,16 +355,19 @@ pub fn build_plan(db: &Database, stmt: &SelectStmt) -> Result<PhysPlan> {
                 match join_key {
                     Some((lk, rk)) => PhysPlan::HashJoin {
                         left: Box::new(left),
-                        right: Box::new(scan),
+                        right: scan,
                         left_key: lk,
                         right_key: rk,
                         post,
                     },
-                    None => PhysPlan::NlJoin {
-                        left: Box::new(left),
-                        right: Box::new(scan),
-                        post,
-                    },
+                    None => {
+                        scan.choose_access();
+                        PhysPlan::NlJoin {
+                            left: Box::new(left),
+                            right: Box::new(PhysPlan::Scan(scan)),
+                            post,
+                        }
+                    }
                 }
             }
         });
@@ -365,6 +428,53 @@ mod tests {
             parse_sql("SELECT c.id, o.orid FROM customer c, orders o WHERE c.id = o.cid").unwrap();
         let plan = build_plan(&db, &stmt).unwrap();
         assert!(plan.explain().contains("HashJoin"), "{}", plan.explain());
+    }
+
+    #[test]
+    fn equality_on_a_constant_becomes_a_lookup() {
+        let db = sample_db();
+        let plan = |sql: &str| build_plan(&db, &parse_sql(sql).unwrap()).unwrap().explain();
+        // The first `=` const conjunct is the access path, which answers
+        // it; the others are checked on its candidates.
+        let text = plan("SELECT * FROM orders WHERE value > 10 AND cid = 'A' AND orid = 1");
+        assert!(text.contains("Scan(orders) Lookup(cid) preds=2"), "{text}");
+        let text = plan("SELECT * FROM orders WHERE value != 10");
+        assert!(text.contains("Scan(orders) preds=1"), "{text}");
+        // A key past 2^53 is not exact: its conjunct stays to re-check.
+        let text = plan("SELECT * FROM orders WHERE orid = 9007199254740993");
+        assert!(text.contains("Scan(orders) Lookup(orid) preds=1"), "{text}");
+        // A nested-loop join's inner scan is read once: it may look up.
+        let text = plan("SELECT * FROM customer c, orders o WHERE c.id < o.cid AND o.cid = 'A'");
+        assert!(text.contains("Scan(o) Lookup(cid) preds=0"), "{text}");
+    }
+
+    /// The decontextualized in-place statement: one lookup drives the
+    /// plan and every join probes an index, so its cost follows the
+    /// pinned customer, not the table sizes.
+    #[test]
+    fn inplace_statement_plan_is_pinned() {
+        let db = sample_db();
+        let stmt = parse_sql(
+            "SELECT DISTINCT c1.id, c1.addr, c1.name, o1.orid, o1.cid, o1.value \
+             FROM customer c1, orders o1, customer c2, orders o2 \
+             WHERE c1.id = 'C000000' AND o1.value < 40000 AND c1.id = o1.cid \
+             AND c2.id = 'C000000' AND c2.id = o2.cid AND c1.id = c2.id \
+             ORDER BY c1.id, o1.orid",
+        )
+        .unwrap();
+        assert_eq!(
+            build_plan(&db, &stmt).unwrap().explain(),
+            "Project[0, 1, 2, 3, 4, 5] distinct=true
+  Sort[0, 3]
+    HashJoin(l[6]=r[1]) probe=index post=0
+      HashJoin(l[0]=r[0]) probe=index post=0
+        HashJoin(l[0]=r[1]) probe=index post=0
+          Scan(c1) Lookup(id) preds=0
+          Scan(o1) preds=1
+        Scan(c2) preds=1
+      Scan(o2) preds=0
+"
+        );
     }
 
     #[test]

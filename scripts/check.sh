@@ -36,6 +36,9 @@ if grep -aq 'validated: ' target/release/experiments; then
   exit 1
 fi
 
+echo "==> DESIGN/README/EXPERIMENTS name only code that exists"
+bash scripts/check_doc_idents.sh
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

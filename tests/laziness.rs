@@ -201,6 +201,59 @@ fn e6_in_place_query_cost_tracks_context() {
     assert_eq!(costs[0], costs[1], "{costs:?}");
 }
 
+/// E6 as a gate on the source itself: an in-place `q` + `child_count`
+/// from the first `CustRec` examines and ships the same rows at 200 and
+/// at 2000 customers. The statement's fixing selections become index
+/// lookups and its joins index probes, so nothing scales with a table.
+#[test]
+fn in_place_query_source_cost_tracks_navigation_not_database_size() {
+    let mut costs = Vec::new();
+    for n in [200usize, 2000] {
+        let (catalog, db) = customers_orders(n, 2, 21);
+        let stats = db.stats().clone();
+        let m = mediator(catalog, true, AccessMode::Lazy);
+        let mut s = m.session();
+        let p0 = s.query(Q1).unwrap();
+        let p1 = s.d(p0).unwrap().unwrap();
+        stats.reset();
+        let a = s
+            .q(
+                "FOR $O IN document(root)/OrderInfo WHERE $O/order/value < 60000 RETURN $O",
+                p1,
+            )
+            .unwrap();
+        let _ = s.child_count(a).unwrap();
+        costs.push((
+            stats.get(Counter::RowsScanned),
+            stats.get(Counter::TuplesShipped),
+        ));
+    }
+    assert_eq!(costs[0], costs[1], "(rows scanned, tuples shipped)");
+    assert!(costs[0].0 <= 16, "rows scanned: {costs:?}");
+}
+
+/// Four threads race to the first lookup on one shared database: one
+/// of them builds the column index, and all see the same rows.
+#[test]
+fn concurrent_first_lookups_agree() {
+    let (_catalog, db) = customers_orders(500, 3, 5);
+    let sql = "SELECT o.orid, o.value FROM orders o WHERE o.cid = 'C000123'";
+    let start = std::sync::Barrier::new(4);
+    let results: Vec<Vec<Vec<Value>>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    db.execute_sql(sql).unwrap().collect_all().unwrap()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(results[0].len(), 3);
+    assert!(results.iter().all(|r| r == &results[0]), "{results:?}");
+}
+
 /// The hash join kernel does O(|L| + |R| + |output|) work where the
 /// nested loop pays |L|·|R| — checked on the probe counter for a naive
 /// (mediator-joined) Q1 plan.
